@@ -3,12 +3,9 @@
 // failover run that kills a backend mid-stream and counts client-visible
 // errors (must be zero). Every scenario drives the fleet through real
 // loopback TCP with closed-loop line-protocol clients, so the router
-// column pays its true forwarding cost. The router scenarios run the
-// epoll data plane (event loop, backend pipelining, batched writes); a
-// router_1_threads scenario keeps the legacy thread-per-session plane on
-// the books so the rewrite's gain stays measurable release over release.
-// Also asserts routed replies are bit-identical to direct serving over
-// TCP. Writes BENCH_cluster.json (--out to override); scripts/bench.sh
+// column pays its true forwarding cost (event loop, backend pipelining,
+// batched writes). Also asserts routed replies are bit-identical to
+// direct serving over TCP. Writes BENCH_cluster.json (--out to override); scripts/bench.sh
 // runs this from a Release build and enforces a routed/direct floor.
 //
 // The miss corpus is the loadgen --keys request grid (equilibrium + run +
@@ -36,7 +33,6 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/backend_client.h"
 #include "cluster/router.h"
 #include "service/framing.h"
 #include "service/request.h"
@@ -115,6 +111,28 @@ double percentile(std::vector<double>& us, double p) {
   return us[std::min(idx, us.size() - 1)];
 }
 
+/// One persistent raw line-protocol connection, loadgen's client shape:
+/// the bench measures the serving path, not client bookkeeping.
+struct RawConn {
+  explicit RawConn(std::uint16_t port)
+      : fd(service::connect_loopback(port)), reader(fd) {}
+  ~RawConn() {
+    if (fd >= 0) ::close(fd);
+  }
+  RawConn(const RawConn&) = delete;
+  RawConn& operator=(const RawConn&) = delete;
+
+  /// Send one request line and wait (up to 60 s) for its reply.
+  std::optional<std::string> round_trip(const std::string& line) {
+    if (fd < 0 || !service::send_all(fd, line + "\n")) return std::nullopt;
+    return reader.read_line(std::chrono::steady_clock::now() +
+                            std::chrono::seconds(60));
+  }
+
+  int fd;
+  service::LineReader reader;
+};
+
 /// Drive `lines` through the port with `threads` closed-loop clients;
 /// each client cycles its slice until `duration_s` elapses (duration_s
 /// <= 0: exactly one pass, for miss-path runs where a repeat would be a
@@ -127,15 +145,12 @@ PathNumbers drive(std::uint16_t port, const std::vector<std::string>& lines,
   const double t0 = now_seconds();
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
-      // One persistent raw connection per client (loadgen's shape): the
-      // bench measures the serving path, not client pool bookkeeping.
-      const int fd = service::connect_loopback(port);
+      RawConn conn(port);
       auto& my_errs = errs[static_cast<std::size_t>(t)];
-      if (fd < 0) {
+      if (conn.fd < 0) {
         ++my_errs;
         return;
       }
-      service::LineReader reader(fd);
       auto& samples = lat[static_cast<std::size_t>(t)];
       std::size_t i = static_cast<std::size_t>(t);
       for (;;) {
@@ -147,14 +162,10 @@ PathNumbers drive(std::uint16_t port, const std::vector<std::string>& lines,
         const std::string& line = lines[i % lines.size()];
         i += static_cast<std::size_t>(threads);
         const double s = now_seconds();
-        std::optional<std::string> reply;
-        if (service::send_all(fd, line + "\n"))
-          reply = reader.read_line(std::chrono::steady_clock::now() +
-                                   std::chrono::seconds(60));
+        const auto reply = conn.round_trip(line);
         samples.push_back(1e6 * (now_seconds() - s));
         if (!reply || reply->rfind("ok", 0) != 0) ++my_errs;
       }
-      ::close(fd);
     });
   }
   for (auto& w : workers) w.join();
@@ -193,23 +204,17 @@ struct Backend {
 struct Scenario {
   std::string name;
   std::size_t backends = 0;  // 0: direct, no router
-  std::string data_plane;    // "n/a" (direct), "epoll", or "threads"
   PathNumbers cached;
   PathNumbers miss;
 };
 
-Scenario run_scenario(std::size_t n_backends, cluster::DataPlane plane,
-                      int client_threads, double duration_s,
-                      int cached_passes, const Corpus& corpus) {
+Scenario run_scenario(std::size_t n_backends, int client_threads,
+                      double duration_s, int cached_passes,
+                      const Corpus& corpus) {
   Scenario out;
   out.backends = n_backends;
-  const bool threads_plane = plane == cluster::DataPlane::kThreads;
-  out.data_plane =
-      n_backends == 0 ? "n/a" : (threads_plane ? "threads" : "epoll");
-  out.name = n_backends == 0
-                 ? "direct"
-                 : "router_" + std::to_string(n_backends) +
-                       (threads_plane ? "_threads" : "");
+  out.name = n_backends == 0 ? "direct"
+                             : "router_" + std::to_string(n_backends);
 
   std::vector<std::unique_ptr<Backend>> fleet;
   const std::size_t fleet_size = std::max<std::size_t>(n_backends, 1);
@@ -222,7 +227,6 @@ Scenario run_scenario(std::size_t n_backends, cluster::DataPlane plane,
   if (n_backends > 0) {
     cluster::RouterOptions opts;
     for (const auto& b : fleet) opts.backend_ports.push_back(b->port);
-    opts.data_plane = plane;
     router = std::make_unique<cluster::Router>(opts);
     port = router->bind_listen(0);
     router_thread = std::thread([&router] { router->serve(); });
@@ -330,8 +334,8 @@ TraceNumbers run_traced(std::uint64_t trace_every,
 }
 
 /// Routed replies must be byte-for-byte what a direct server answers —
-/// checked through real TCP so the epoll plane (pipelined forwards,
-/// batched writes) is what produces them.
+/// checked through real TCP, on drive()'s raw connection, so the data
+/// plane (pipelined forwards, batched writes) is what produces them.
 bool check_bit_identical(const std::vector<std::string>& lines) {
   Backend b0, b1;
   cluster::RouterOptions opts;
@@ -342,11 +346,10 @@ bool check_bit_identical(const std::vector<std::string>& lines) {
   service::Server direct(backend_options());
   bool identical = true;
   {
-    cluster::BackendClient conn(port);
+    RawConn conn(port);
     for (int pass = 0; pass < 2; ++pass) {  // miss pass, then hit pass
       for (const auto& line : lines) {
-        const auto routed = conn.round_trip(
-            line, std::chrono::steady_clock::now() + std::chrono::seconds(60));
+        const auto routed = conn.round_trip(line);
         bool quit = false;
         const std::string local = direct.handle_line(line, &quit);
         if (!routed || *routed != local) {
@@ -406,21 +409,11 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "bench_cluster: bit-identical check...\n");
   const bool identical = check_bit_identical(corpus.cached);
 
-  // direct, the epoll router over 1/2/4 backends, and the legacy threads
-  // plane over 1 backend (the before/after for the data-plane rewrite).
-  struct Case {
-    std::size_t backends;
-    cluster::DataPlane plane;
-  };
-  const Case cases[] = {
-      {0, cluster::DataPlane::kEpoll},  {1, cluster::DataPlane::kEpoll},
-      {1, cluster::DataPlane::kThreads}, {2, cluster::DataPlane::kEpoll},
-      {4, cluster::DataPlane::kEpoll},
-  };
+  // direct, then the router over 1/2/4 backends.
   std::vector<Scenario> scenarios;
-  for (const Case& c : cases) {
-    scenarios.push_back(run_scenario(c.backends, c.plane, client_threads,
-                                     duration_s, cached_passes, corpus));
+  for (const std::size_t backends : {0, 1, 2, 4}) {
+    scenarios.push_back(run_scenario(backends, client_threads, duration_s,
+                                     cached_passes, corpus));
     std::fprintf(stderr,
                  "bench_cluster: %-16s cached %8.0f rps, miss %7.0f rps\n",
                  scenarios.back().name.c_str(), scenarios.back().cached.rps,
@@ -450,19 +443,12 @@ int main(int argc, char** argv) {
        << ", \"cached_keys\": " << corpus.cached.size()
        << ", \"miss_requests\": " << corpus.miss.size()
        << ", \"miss_distinct_keys\": " << corpus.miss_distinct << "},\n"
-       // The committed numbers this rewrite started from (same host
-       // class): thread-per-session plane, blocking per-line forwards,
-       // no TCP_NODELAY anywhere.
-       << "  \"prior\": {\"data_plane\": \"threads, pre-TCP_NODELAY\", "
-       << "\"direct_cached_rps\": 74752.3, "
-       << "\"router_1_cached_rps\": 36027.0},\n"
        << "  \"bit_identical\": " << (identical ? "true" : "false") << ",\n"
        << "  \"scenarios\": {\n";
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const Scenario& s = scenarios[i];
     json << "  \"" << s.name << "\": {\n"
-         << "    \"backends\": " << s.backends << ",\n"
-         << "    \"data_plane\": \"" << s.data_plane << "\",\n";
+         << "    \"backends\": " << s.backends << ",\n";
     write_path(json, "cached", s.cached, false);
     write_path(json, "miss", s.miss, true);
     json << "  }" << (i + 1 < scenarios.size() ? ",\n" : "\n");

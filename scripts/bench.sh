@@ -20,10 +20,8 @@
 #                        it fails if the server-reported hit p99 disagrees
 #                        with the client-observed one (--check-p99).
 #   BENCH_cluster.json — direct tecfand vs tecrouter over 1/2/4 in-process
-#                        backends (cached + miss paths over loopback TCP;
-#                        the router runs the epoll data plane, with a
-#                        router_1_threads scenario keeping the legacy
-#                        thread-per-session plane on the books), a
+#                        backends (cached + miss paths over loopback TCP
+#                        through the router's one data plane), a
 #                        bit-identical routed-vs-direct reply check over
 #                        TCP, and a failover run killing a backend
 #                        mid-stream (client-visible errors must be zero).

@@ -534,9 +534,9 @@ void EpollPlane::route(Session& session, std::uint64_t seq,
                                  : router_.options_.backend_deadline_ms;
   const auto deadline = deadline_from_ms(now, deadline_ms);
 
-  // Same failover order as the thread plane: the owner, then the distinct
-  // ring successors, down backends filtered up front (full chain as the
-  // all-down fallback — the monitor may be stale).
+  // Failover order: the owner, then the distinct ring successors, down
+  // backends filtered up front (full chain as the all-down fallback — the
+  // monitor may be stale, and a traffic-path success marks it up again).
   const std::vector<std::size_t> full_chain = router_.shards_.replica_chain(key);
   std::vector<std::size_t> chain;
   chain.reserve(full_chain.size());

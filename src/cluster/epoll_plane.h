@@ -1,11 +1,9 @@
-// Event-driven router data plane: one thread, nonblocking sockets, backend
+// The router's data plane: one thread, nonblocking sockets, backend
 // pipelining, batched writes.
 //
-// The thread-per-session plane (Router::serve_threads) pays four context
-// switches and a syscall-per-line on every forwarded request; on the
-// loopback fleets this repo targets that *halves* routed throughput vs
-// direct serving. This plane replaces it with a single epoll loop where
-// both sides of the router are state machines:
+// A single epoll loop serves every client and every backend, so a
+// forwarded request never hands off between threads. Both sides of the
+// router are state machines:
 //
 //   * Client sessions — O_NONBLOCK fds with a LineReader (incremental
 //     line splitting) and a WriteQueue (response coalescing). A client may
@@ -15,9 +13,7 @@
 //   * Backend pipes — ONE persistent connection per backend carrying all
 //     forwards concurrently. The line protocol is strictly in-order per
 //     connection, so a FIFO of in-flight descriptors pairs each response
-//     line with its request; this replaces BackendClient's
-//     lease-per-request model (and its per-request pool round trip) on the
-//     hot path. Dials are nonblocking with a timeout.
+//     line with its request. Dials are nonblocking with a timeout.
 //
 // Invariants the tests pin:
 //   * Pipelining: response k on a pipe answers the k-th unanswered forward
@@ -28,8 +24,7 @@
 //   * Failover: a pipe death (EOF, error, dial timeout, malformed line)
 //     fails every in-flight request over to its next ring replica with no
 //     client-visible error as long as a replica is up; health reports and
-//     the failover counter fire per affected request, same as the thread
-//     plane.
+//     the failover counter fire per affected request.
 //   * Hedging: a hedge is cancelled by descriptor, never by connection
 //     reuse — the loser's entry stays in its pipe FIFO and the reply is
 //     discarded on arrival (the request id no longer resolves), keeping

@@ -1,7 +1,13 @@
 #include "cluster/health_monitor.h"
 
-#include <algorithm>
+#include <unistd.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+
+#include "service/framing.h"
+#include "service/request.h"
 #include "util/error.h"
 
 namespace tecfan::cluster {
@@ -16,15 +22,15 @@ Clock::duration seconds_to_duration(double s) {
 
 }  // namespace
 
-HealthMonitor::HealthMonitor(std::vector<BackendClient*> backends,
+HealthMonitor::HealthMonitor(std::vector<std::uint16_t> ports,
                              Options options)
-    : backends_(std::move(backends)),
+    : ports_(std::move(ports)),
       options_(options),
       jitter_state_(options.jitter_seed | 1) {
-  TECFAN_REQUIRE(!backends_.empty(), "HealthMonitor needs backends");
+  TECFAN_REQUIRE(!ports_.empty(), "HealthMonitor needs backends");
   TECFAN_REQUIRE(options_.down_after >= 1, "down_after must be >= 1");
-  state_.reserve(backends_.size());
-  for (std::size_t i = 0; i < backends_.size(); ++i)
+  state_.reserve(ports_.size());
+  for (std::size_t i = 0; i < ports_.size(); ++i)
     state_.push_back(std::make_unique<BackendState>());
 }
 
@@ -148,7 +154,7 @@ void HealthMonitor::run() {
 }
 
 void HealthMonitor::probe_round(Clock::time_point now) {
-  for (std::size_t i = 0; i < backends_.size(); ++i) {
+  for (std::size_t i = 0; i < ports_.size(); ++i) {
     BackendState& st = *state_[i];
     if (now < st.next_probe) continue;
     const bool ok = ping(i);
@@ -177,8 +183,17 @@ bool HealthMonitor::ping(std::size_t backend) {
   const auto start = Clock::now();
   const auto deadline =
       start + seconds_to_duration(options_.ping_timeout_ms * 1e-3);
-  const auto reply = backends_[backend]->round_trip("ping", deadline);
-  const bool ok = reply.has_value() && reply->rfind("ok", 0) == 0;
+  bool ok = false;
+  const int fd = service::connect_loopback(ports_[backend], deadline);
+  if (fd >= 0) {
+    service::LineReader reader(fd);
+    if (service::send_all(fd, "ping\n")) {
+      const auto reply = reader.read_line(deadline);
+      ok = reply && service::parse_response(*reply).field("pong") ==
+                        std::optional<std::string>("1");
+    }
+    ::close(fd);
+  }
   if (ok) {
     st.last_rtt_us.store(
         std::chrono::duration<double, std::micro>(Clock::now() - start)

@@ -1,12 +1,15 @@
 // Background health checking for a fleet of tecfand backends.
 //
-// One monitor thread pings every backend (the protocol's `ping` verb, via
-// that backend's BackendClient pool) on a fixed period. A backend is
-// marked down after `down_after` consecutive failures and marked up again
-// on the first successful ping. While a backend is down its probes back
-// off exponentially (with deterministic jitter so a restarted fleet does
-// not probe in lockstep) up to `backoff_max_s`; a healthy fleet is probed
-// at `interval_s`.
+// One monitor thread pings every backend on a fixed period. Each probe is
+// one bounded dial to the backend's loopback port, the protocol's `ping`
+// verb, and a close, all within `ping_timeout_ms`: no connection state
+// lives between probes, and every probe exercises the same accept path
+// the router's data plane redials through. A backend is marked down after
+// `down_after` consecutive failures and marked up again on the first
+// successful ping (a `pong=1` reply; anything else is a failure). While a
+// backend is down its probes back off exponentially (with deterministic
+// jitter so a restarted fleet does not probe in lockstep) up to
+// `backoff_max_s`; a healthy fleet is probed at `interval_s`.
 //
 // The router consults up() on every route: a down backend is skipped and
 // its keys fail over to the next backend on the ShardMap ring. The router
@@ -34,8 +37,6 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/backend_client.h"
-
 namespace tecfan::cluster {
 
 class HealthMonitor {
@@ -49,12 +50,12 @@ class HealthMonitor {
     std::uint64_t jitter_seed = 0x7ec5eed;  // deterministic jitter stream
   };
 
-  /// Monitors the given backends (not owned; must outlive the monitor).
-  /// All backends start up — optimistic, so a router can serve immediately
-  /// — and the first probe round corrects that within one period.
-  HealthMonitor(std::vector<BackendClient*> backends, Options options);
-  explicit HealthMonitor(std::vector<BackendClient*> backends)
-      : HealthMonitor(std::move(backends), Options{}) {}
+  /// Monitors the backends listening on the given loopback ports. All
+  /// backends start up — optimistic, so a router can serve immediately —
+  /// and the first probe round corrects that within one period.
+  HealthMonitor(std::vector<std::uint16_t> ports, Options options);
+  explicit HealthMonitor(std::vector<std::uint16_t> ports)
+      : HealthMonitor(std::move(ports), Options{}) {}
   ~HealthMonitor();
 
   HealthMonitor(const HealthMonitor&) = delete;
@@ -63,7 +64,7 @@ class HealthMonitor {
   void start();
   void stop();
 
-  std::size_t backend_count() const { return backends_.size(); }
+  std::size_t backend_count() const { return ports_.size(); }
   bool up(std::size_t backend) const {
     return state_[backend]->up.load(std::memory_order_acquire);
   }
@@ -126,7 +127,7 @@ class HealthMonitor {
   void apply_observation(BackendState& st, bool ok);
   double jitter_fraction();  // in [0, 0.25), monitor thread only
 
-  std::vector<BackendClient*> backends_;
+  std::vector<std::uint16_t> ports_;
   Options options_;
   std::vector<std::unique_ptr<BackendState>> state_;
 

@@ -1,14 +1,9 @@
 #include "cluster/router.h"
 
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 
 #include "cluster/epoll_plane.h"
 #include "service/framing.h"
@@ -28,20 +23,6 @@ using Clock = std::chrono::steady_clock;
 using service::Request;
 using service::RequestKind;
 using service::Response;
-
-Clock::time_point deadline_from_ms(Clock::time_point start, double ms) {
-  if (ms <= 0) return Clock::time_point::max();
-  return start + std::chrono::duration_cast<Clock::duration>(
-                     std::chrono::duration<double, std::milli>(ms));
-}
-
-/// Locale-independent %g formatting for the re-attached deadline_ms
-/// parameter (the backend parses it with from_chars).
-std::string format_ms(double ms) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.10g", ms);
-  return buf;
-}
 
 }  // namespace
 
@@ -69,18 +50,12 @@ Router::Router(RouterOptions options)
   TECFAN_REQUIRE(!options_.backend_ports.empty(),
                  "Router needs at least one backend port");
   tracer_.set_sample_every(options_.trace_every);
-  clients_.reserve(options_.backend_ports.size());
   gauge_backend_inflight_.reserve(options_.backend_ports.size());
-  std::vector<BackendClient*> raw;
-  for (const std::uint16_t port : options_.backend_ports) {
-    clients_.push_back(std::make_unique<BackendClient>(
-        port, options_.pool_size, options_.dial_timeout_ms));
-    raw.push_back(clients_.back().get());
-    gauge_backend_inflight_.push_back(&metrics_.gauge(
-        "backend" + std::to_string(gauge_backend_inflight_.size()) +
-        "_pipe_inflight"));
-  }
-  health_ = std::make_unique<HealthMonitor>(std::move(raw), options_.health);
+  for (std::size_t b = 0; b < options_.backend_ports.size(); ++b)
+    gauge_backend_inflight_.push_back(
+        &metrics_.gauge("backend" + std::to_string(b) + "_pipe_inflight"));
+  health_ = std::make_unique<HealthMonitor>(options_.backend_ports,
+                                            options_.health);
   if (options_.hedge_ms > 0)
     hedge_delay_us_.store(options_.hedge_ms * 1e3,
                           std::memory_order_relaxed);
@@ -106,196 +81,6 @@ void Router::refresh_hedge_delay() {
   const double clamped = std::clamp(p99_us, options_.hedge_floor_ms * 1e3,
                                     options_.hedge_ceil_ms * 1e3);
   hedge_delay_us_.store(clamped, std::memory_order_relaxed);
-}
-
-std::optional<std::string> Router::forward(std::size_t backend,
-                                           const std::string& wire,
-                                           const TraceContext& ctx,
-                                           Clock::time_point deadline) {
-  const auto sent_at = Clock::now();
-  ScopedLatencyTimer wait_span(hist_backend_wait_, sent_at);
-  auto reply = clients_[backend]->round_trip(wire, deadline);
-  if (reply) {
-    health_->report_success(backend);
-    if (ctx.sampled) {
-      tracer_.record(ctx, SpanName::kBackendWait, sent_at, Clock::now());
-      ingest_backend_spans(ctx, *reply, sent_at);
-    }
-  } else {
-    wait_span.stop();
-    health_->report_failure(backend);
-  }
-  return reply;
-}
-
-std::optional<std::string> Router::forward_hedged(std::size_t b1,
-                                                  std::size_t b2,
-                                                  const std::string& wire,
-                                                  const TraceContext& ctx,
-                                                  Clock::time_point deadline,
-                                                  bool* hedge_won) {
-  const auto start = Clock::now();
-  BackendClient::Lease primary = clients_[b1]->lease();
-  if (!primary.valid() || !primary.send_line(wire)) {
-    health_->report_failure(b1);
-    counter_failovers_->inc();
-    return forward(b2, wire, ctx, deadline);
-  }
-
-  const double delay_us = current_hedge_delay_us();
-  const auto hedge_at = std::min(
-      deadline, start + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double, std::micro>(
-                                delay_us)));
-  if (primary.reply_ready(hedge_at)) {
-    // Fast path: the primary answered before the hedge timer (cache hits
-    // and healthy misses land here).
-    auto reply = primary.read_line(deadline);
-    const auto reply_at = Clock::now();
-    hist_backend_wait_->record(reply_at - start);
-    if (reply) {
-      primary.release();
-      health_->report_success(b1);
-      if (ctx.sampled) {
-        tracer_.record(ctx, SpanName::kBackendWait, start, reply_at);
-        ingest_backend_spans(ctx, *reply, start);
-      }
-      return reply;
-    }
-    health_->report_failure(b1);
-    counter_failovers_->inc();
-    return forward(b2, wire, ctx, deadline);
-  }
-
-  // Hedge: same canonical line to the ring replica; first answer wins.
-  // The loser's connection is abandoned (its late reply would desync the
-  // pool), and the loser still fills its own cache shard — wasted compute
-  // is the price of the tail cut.
-  counter_hedges_->inc();
-  BackendClient::Lease hedge = clients_[b2]->lease();
-  bool hedge_alive = hedge.valid() && hedge.send_line(wire);
-  if (!hedge_alive) health_->report_failure(b2);
-  bool primary_alive = true;
-
-  while (primary_alive || hedge_alive) {
-    const auto now = Clock::now();
-    if (now >= deadline) break;
-    // Buffered-line / instant-readability checks first, then one blocking
-    // poll across both sockets.
-    const bool p_ready = primary_alive && primary.reply_ready(now);
-    const bool h_ready = !p_ready && hedge_alive && hedge.reply_ready(now);
-    if (p_ready || h_ready) {
-      BackendClient::Lease& winner = p_ready ? primary : hedge;
-      const std::size_t winner_backend = p_ready ? b1 : b2;
-      auto reply = winner.read_line(deadline);
-      if (reply) {
-        const auto reply_at = Clock::now();
-        hist_backend_wait_->record(reply_at - start);
-        winner.release();
-        health_->report_success(winner_backend);
-        if (!p_ready) {
-          counter_hedge_wins_->inc();
-          if (hedge_won) *hedge_won = true;
-        }
-        if (ctx.sampled) {
-          // Winner's spans only: the loser's reply is abandoned with its
-          // connection and never reaches the rings.
-          tracer_.record(ctx, SpanName::kBackendWait, start, reply_at);
-          ingest_backend_spans(ctx, *reply, start);
-        }
-        return reply;
-      }
-      health_->report_failure(winner_backend);
-      if (p_ready)
-        primary_alive = false;
-      else
-        hedge_alive = false;
-      continue;
-    }
-    pollfd pfds[2];
-    nfds_t n = 0;
-    if (primary_alive) pfds[n++] = {primary.fd(), POLLIN, 0};
-    if (hedge_alive) pfds[n++] = {hedge.fd(), POLLIN, 0};
-    if (n == 0) break;
-    int timeout_ms = -1;
-    if (deadline != Clock::time_point::max()) {
-      const auto remaining = deadline - Clock::now();
-      timeout_ms =
-          remaining <= Clock::duration::zero()
-              ? 0
-              : static_cast<int>(
-                    std::chrono::duration_cast<std::chrono::milliseconds>(
-                        remaining)
-                        .count()) +
-                    1;
-    }
-    const int rc = ::poll(pfds, n, timeout_ms);
-    if (rc == 0) break;                       // deadline
-    if (rc < 0 && errno != EINTR) break;
-  }
-  // Neither side produced a reply before the deadline (or both died).
-  if (primary_alive) health_->report_failure(b1);
-  return std::nullopt;
-}
-
-std::string Router::route_compute(Request& request,
-                                  Clock::time_point line_start,
-                                  bool* hedge_won) {
-  counter_routed_->inc();
-
-  // Head-of-trace decision (or adoption of an upstream context). Sampled
-  // requests carry the context to the backend on the wire; unsampled ones
-  // pay one branch per stage and put nothing on the wire, so old peers
-  // and byte-equivalence tests never see a difference.
-  request.trace = request.trace.sampled ? tracer_.adopt(request.trace)
-                                        : tracer_.start_trace();
-
-  const std::string key = service::canonical_key(request);
-  std::string wire = key;
-  if (request.deadline_ms > 0)
-    wire += " deadline_ms=" + format_ms(request.deadline_ms);
-  if (request.trace.sampled) wire += " trace=" + request.trace.wire();
-
-  const auto now = Clock::now();
-  const double deadline_ms = request.deadline_ms > 0
-                                 ? request.deadline_ms
-                                 : options_.backend_deadline_ms;
-  const auto deadline = deadline_from_ms(now, deadline_ms);
-
-  // Failover order: the owner, then the distinct ring successors. Down
-  // backends are filtered out up front; when the whole fleet looks down
-  // the full chain is attempted anyway (the monitor may be stale, and a
-  // traffic-path success marks the backend up again).
-  const std::vector<std::size_t> chain = shards_.replica_chain(key);
-  std::vector<std::size_t> candidates;
-  candidates.reserve(chain.size());
-  for (const std::size_t b : chain)
-    if (health_->up(b)) candidates.push_back(b);
-  if (candidates.empty()) candidates = chain;
-  const auto route_end = Clock::now();
-  hist_route_->record(route_end - line_start);
-  if (request.trace.sampled)
-    tracer_.record(request.trace, SpanName::kRoute, line_start, route_end);
-
-  const bool hedging =
-      options_.hedge_ms >= 0 && current_hedge_delay_us() > 0;
-  std::size_t i = 0;
-  while (i < candidates.size()) {
-    std::optional<std::string> reply;
-    if (hedging && i + 1 < candidates.size()) {
-      reply = forward_hedged(candidates[i], candidates[i + 1], wire,
-                             request.trace, deadline, hedge_won);
-      i += 2;  // a hedged attempt consumes both fleet members
-    } else {
-      reply = forward(candidates[i], wire, request.trace, deadline);
-      i += 1;
-    }
-    if (reply) return *reply;
-    counter_failovers_->inc();
-  }
-  counter_errors_->inc();
-  return serialize_response(
-      Response::make_error("no backend available"));
 }
 
 std::string Router::stats_response_line() const {
@@ -325,11 +110,11 @@ std::string Router::stats_response_line() const {
   r.add("traces_sampled", tracer_.sampled_traces());
   r.add("traces_adopted", tracer_.adopted_traces());
   r.add("hedge_delay_us", current_hedge_delay_us());
-  for (std::size_t b = 0; b < clients_.size(); ++b) {
+  for (std::size_t b = 0; b < options_.backend_ports.size(); ++b) {
     const std::string prefix = "backend" + std::to_string(b) + "_";
     const HealthMonitor::BackendHealth h = health_->health(b);
     r.add(prefix + "port",
-          static_cast<std::uint64_t>(clients_[b]->port()));
+          static_cast<std::uint64_t>(options_.backend_ports[b]));
     r.add(prefix + "up", std::string(h.up ? "1" : "0"));
     r.add(prefix + "probes", h.probes);
     r.add(prefix + "probe_failures", h.probe_failures);
@@ -454,17 +239,6 @@ void Router::ingest_backend_spans(const TraceContext& ctx,
   }
 }
 
-std::string Router::handle_line(const std::string& line, bool* quit) {
-  const auto line_start = Clock::now();
-  service::ParsedRequest parsed;
-  if (auto local = handle_local(line, &parsed, quit)) return *local;
-
-  bool hedge_won = false;
-  std::string reply = route_compute(parsed.request, line_start, &hedge_won);
-  finish_compute(reply, parsed.request.trace, line_start);
-  return reply;
-}
-
 Router::Stats Router::stats() const {
   Stats s;
   s.requests = counter_requests_->value();
@@ -477,7 +251,7 @@ Router::Stats Router::stats() const {
   s.pipe_stalls = counter_pipe_stalls_->value();
   s.pending = pending_gauge_.load(std::memory_order_relaxed);
   s.backend_inflight = inflight_gauge_.load(std::memory_order_relaxed);
-  s.backends = clients_.size();
+  s.backends = options_.backend_ports.size();
   s.backends_up = health_->up_count();
   return s;
 }
@@ -515,40 +289,13 @@ std::string Router::prom_exposition() const {
 
 std::uint16_t Router::bind_listen(std::uint16_t port) {
   TECFAN_REQUIRE(listen_fd_.load() < 0, "already listening");
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  TECFAN_REQUIRE(fd >= 0, "socket() failed");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    throw precondition_error(std::string("bind() failed: ") +
-                             std::strerror(errno));
-  }
-  if (::listen(fd, 64) != 0) {
-    ::close(fd);
-    throw precondition_error(std::string("listen() failed: ") +
-                             std::strerror(errno));
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  listen_fd_.store(fd);
-  bound_port_.store(ntohs(addr.sin_port));
-  return bound_port_.load();
+  const service::Listener listener = service::listen_loopback(port);
+  listen_fd_.store(listener.fd);
+  bound_port_.store(listener.port);
+  return listener.port;
 }
 
 void Router::serve() {
-  if (options_.data_plane == DataPlane::kEpoll)
-    serve_epoll();
-  else
-    serve_threads();
-}
-
-void Router::serve_epoll() {
   const int listen_fd = listen_fd_.load();
   if (listen_fd < 0) {
     // stop() may win the race against a serve() thread that was just
@@ -572,74 +319,6 @@ void Router::serve_epoll() {
   serve_cv_.notify_all();
 }
 
-void Router::serve_threads() {
-  const int listen_fd = listen_fd_.load();
-  if (listen_fd < 0) {
-    // stop() may win the race against a serve() thread that was just
-    // launched; that is a clean no-op, not a programming error.
-    TECFAN_REQUIRE(stopping_.load(), "call bind_listen() before serve()");
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(serve_mu_);
-    if (stopping_.load()) return;  // stop() already reclaimed the socket
-    serve_running_ = true;
-  }
-  for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load()) break;
-      if (errno == EINTR) continue;
-      break;  // listening socket gone
-    }
-    if (stopping_.load()) {
-      ::close(fd);
-      break;
-    }
-    service::set_tcp_nodelay(fd);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] {
-      service::LineReader reader(fd);
-      bool quit = false;
-      while (!quit && !stopping_.load()) {
-        auto line = reader.read_line();
-        if (!line) {
-          if (reader.overflowed()) {
-            counter_errors_->inc();
-            std::string reply = serialize_response(
-                Response::make_error("request line too long"));
-            reply += '\n';
-            service::send_all(fd, reply);
-            // Drain before the close: unread flood bytes would raise
-            // RST and discard the error reply client-side.
-            service::shutdown_drain(fd, std::chrono::milliseconds(250));
-          }
-          break;
-        }
-        if (line->empty()) continue;
-        std::string reply = handle_line(*line, &quit);
-        reply += '\n';
-        if (!service::send_all(fd, reply)) break;
-      }
-      // Deregister before closing so stop() never shuts down a recycled
-      // descriptor number.
-      {
-        std::lock_guard<std::mutex> lock2(conns_mu_);
-        conn_fds_.erase(
-            std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
-            conn_fds_.end());
-      }
-      ::close(fd);
-    });
-  }
-  {
-    std::lock_guard<std::mutex> lock(serve_mu_);
-    serve_running_ = false;
-  }
-  serve_cv_.notify_all();
-}
-
 void Router::stop() {
   int listen_fd;
   {
@@ -649,7 +328,7 @@ void Router::stop() {
     std::lock_guard<std::mutex> lock(serve_mu_);
     stopping_.store(true);
     listen_fd = listen_fd_.exchange(-1);
-    if (plane_) plane_->request_stop();  // epoll plane: wake its loop
+    if (plane_) plane_->request_stop();  // wake the plane's loop
   }
   if (listen_fd >= 0) {
     ::shutdown(listen_fd, SHUT_RDWR);
@@ -659,15 +338,6 @@ void Router::stop() {
     }
     ::close(listen_fd);
   }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-    conn_fds_.clear();
-    threads.swap(conn_threads_);
-  }
-  for (auto& t : threads)
-    if (t.joinable()) t.join();
   if (health_) health_->stop();
 }
 

@@ -24,7 +24,11 @@
 //
 // Responses are forwarded verbatim (bit-identical to direct serving);
 // only router-generated errors (`no backend available`, parse errors) are
-// produced locally.
+// produced locally. serve() runs the one data plane, EpollPlane (see
+// epoll_plane.h): a single event-loop thread with nonblocking client
+// sessions and one pipelined connection per backend. The Router owns the
+// state that outlives a serve() call — ring, health monitor, counters,
+// histograms, tracer — and the plane reads it as a friend.
 #pragma once
 
 #include <atomic>
@@ -36,10 +40,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "cluster/backend_client.h"
 #include "cluster/health_monitor.h"
 #include "cluster/shard_map.h"
 #include "service/request.h"
@@ -50,24 +52,11 @@ namespace tecfan::cluster {
 
 class EpollPlane;
 
-/// Which forwarding engine serve() runs.
-///
-///   * kEpoll — one event-loop thread, nonblocking state-machine sessions,
-///     requests pipelined over one persistent connection per backend,
-///     per-socket write batching (see epoll_plane.h). The default.
-///   * kThreads — one blocking thread per client session, one
-///     BackendClient lease (pool round trip) per forward. Kept for one
-///     release as the equivalence oracle: both planes must produce
-///     byte-identical response streams.
-enum class DataPlane { kEpoll, kThreads };
-
 struct RouterOptions {
   /// Loopback TCP ports of the tecfand backends (one fleet member each).
   std::vector<std::uint16_t> backend_ports;
   /// Virtual nodes per backend on the consistent-hash ring.
   std::size_t virtual_nodes = ShardMap::kDefaultVirtualNodes;
-  /// Idle connections pooled per backend.
-  std::size_t pool_size = 8;
   /// Per-forward deadline when the client request carries none; 0 = none.
   /// (A forward that times out counts as a backend failure and fails
   /// over.)
@@ -78,13 +67,13 @@ struct RouterOptions {
   double hedge_ms = -1.0;
   double hedge_floor_ms = 1.0;
   double hedge_ceil_ms = 200.0;
-  /// Bound on every backend dial (epoll-plane pipe connects and
-  /// BackendClient leases): a nonblocking connect() polled to this
+  /// Bound on every backend pipe dial: a nonblocking connect() with this
   /// deadline, so a SYN-blackholed backend costs milliseconds, not the
-  /// kernel's SYN-retry default.
+  /// kernel's SYN-retry default. (Health probes are bounded by
+  /// health.ping_timeout_ms instead.)
   double dial_timeout_ms = 250.0;
-  /// Epoll plane only: how long a deadline-less forward may sit at the
-  /// head of a backend pipe's FIFO before the pipe is declared stalled
+  /// How long a deadline-less forward may sit at the head of a backend
+  /// pipe's FIFO before the pipe is declared stalled
   /// (accept-then-blackhole), reported to health, torn down, and its
   /// whole FIFO failed over. Forwards that carry a deadline use it (plus
   /// stall_grace_ms) instead, so legitimately long computes are never cut
@@ -101,7 +90,6 @@ struct RouterOptions {
   /// the full cross-tier tree. Requests that already arrive with a
   /// `trace=` field are always adopted.
   std::uint64_t trace_every = 0;
-  DataPlane data_plane = DataPlane::kEpoll;
   HealthMonitor::Options health;
 };
 
@@ -113,16 +101,10 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Parse and execute one request line; returns the response line. Sets
-  /// *quit when the line was a `quit` request (per-connection, local).
-  std::string handle_line(const std::string& line, bool* quit = nullptr);
-
   /// Bind a loopback listening socket; port 0 picks an ephemeral port.
   std::uint16_t bind_listen(std::uint16_t port);
 
-  /// Serve accepted connections until stop(). Runs the data plane chosen
-  /// in RouterOptions: the epoll event loop (default) or the legacy
-  /// thread-per-connection model.
+  /// Serve accepted connections on the epoll data plane until stop().
   void serve();
 
   /// Stop the accept loop, open connections, and the health monitor.
@@ -143,9 +125,8 @@ class Router {
     std::uint64_t hedge_wins = 0;  // hedges whose reply arrived first
     std::uint64_t errors = 0;      // router-generated error responses
     std::uint64_t pipe_stalls = 0; // backend pipes torn down by watchdog
-    /// Leak gauges (epoll plane; always 0 on the thread plane). Both
-    /// must return to zero once traffic quiesces — the chaos tests pin
-    /// that after every storm.
+    /// Leak gauges. Both must return to zero once traffic quiesces —
+    /// the chaos tests pin that after every storm.
     std::uint64_t pending = 0;          // live PendingRequests
     std::uint64_t backend_inflight = 0; // FIFO entries across all pipes
     std::size_t backends = 0;
@@ -156,9 +137,9 @@ class Router {
   /// Cluster per-stage telemetry (microseconds):
   ///   route        — parse + canonical key + ring/health backend choice
   ///   backend_wait — forward send to reply line complete (per attempt)
-  ///   e2e_hit      — whole handle_line span, reply was `ok cached=1`
-  ///   e2e_miss     — whole handle_line span, reply was computed `ok`
-  /// plus the epoll-plane health instruments:
+  ///   e2e_hit      — request line read to reply ready, `ok cached=1`
+  ///   e2e_miss     — request line read to reply ready, computed `ok`
+  /// plus the event-loop health instruments:
   ///   loop_iteration      — active portion of each event-loop iteration
   ///   loop_dispatch_batch — ready events per nonempty epoll_wait batch
   const MetricsRegistry& metrics() const { return metrics_; }
@@ -180,8 +161,8 @@ class Router {
   double current_hedge_delay_us() const;
 
  private:
-  friend class EpollPlane;  // the event-driven data plane shares routing
-                            // state, counters, and histograms
+  friend class EpollPlane;  // the data plane shares routing state,
+                            // counters, and histograms
 
   /// Count the line, parse it, and answer control verbs and parse errors
   /// locally. Returns the response line for those, nullopt for a compute
@@ -191,40 +172,22 @@ class Router {
                                           bool* quit);
   /// Record the e2e hit/miss span (and, when sampled, the root e2e trace
   /// span) for a routed reply and periodically re-derive the auto hedge
-  /// delay. Shared by both data planes.
+  /// delay.
   void finish_compute(const std::string& reply, const TraceContext& ctx,
                       std::chrono::steady_clock::time_point line_start);
   /// Fold the `spans="..."` field of a sampled backend reply into this
   /// router's rings, anchored at the attempt's send time. Winner only —
-  /// both planes call this exactly once per completed sampled request.
+  /// called exactly once per completed sampled request.
   void ingest_backend_spans(const TraceContext& ctx,
                             const std::string& reply,
                             std::chrono::steady_clock::time_point sent_at);
 
-  void serve_threads();
-  void serve_epoll();
-
-  std::string route_compute(service::Request& request,
-                            std::chrono::steady_clock::time_point line_start,
-                            bool* hedge_won);
-  /// Forward `wire` to backend b, one attempt. nullopt on failure.
-  std::optional<std::string> forward(std::size_t backend,
-                                     const std::string& wire,
-                                     const TraceContext& ctx,
-                                     std::chrono::steady_clock::time_point
-                                         deadline);
-  /// Hedged forward: primary attempt on `b1`, hedge on `b2` after the
-  /// hedge delay, first reply wins.
-  std::optional<std::string> forward_hedged(
-      std::size_t b1, std::size_t b2, const std::string& wire,
-      const TraceContext& ctx,
-      std::chrono::steady_clock::time_point deadline, bool* hedge_won);
   std::string stats_response_line() const;
   std::string trace_response_line(int limit) const;
   std::string prom_exposition() const;
   void refresh_hedge_delay();
 
-  /// High-water tracking for the epoll plane's per-socket WriteQueues
+  /// High-water tracking for the data plane's per-socket WriteQueues
   /// (bytes). Single writer (the loop thread); readers dump it.
   void note_writeq_bytes(std::size_t bytes) {
     std::uint64_t hw = writeq_highwater_.load(std::memory_order_relaxed);
@@ -235,7 +198,6 @@ class Router {
 
   RouterOptions options_;
   ShardMap shards_;
-  std::vector<std::unique_ptr<BackendClient>> clients_;
   std::unique_ptr<HealthMonitor> health_;
 
   MetricsRegistry metrics_;
@@ -259,7 +221,7 @@ class Router {
   Counter* counter_pipe_stalls_;
   // Runtime health gauges, refreshed at dump time (Gauge::set through a
   // stored pointer is const-safe) except the per-backend pipe inflight
-  // gauges, which the single-threaded epoll plane keeps live.
+  // gauges, which the single-threaded data plane keeps live.
   Gauge* gauge_pending_;
   Gauge* gauge_inflight_;
   Gauge* gauge_writeq_highwater_;
@@ -267,7 +229,7 @@ class Router {
   std::vector<Gauge*> gauge_backend_inflight_;
   Tracer tracer_{TraceTier::kRouter};
 
-  // Maintained by the epoll plane (single-threaded writer; atomic so
+  // Maintained by the data plane (single-threaded writer; atomic so
   // stats() can read from any thread).
   std::atomic<std::uint64_t> pending_gauge_{0};
   std::atomic<std::uint64_t> inflight_gauge_{0};
@@ -283,18 +245,15 @@ class Router {
   const std::chrono::steady_clock::time_point started_at_ =
       std::chrono::steady_clock::now();
 
-  // TCP accept state, same shape as service::Server.
+  // TCP accept state, same handshake as service::Server.
   std::atomic<int> listen_fd_{-1};
   std::atomic<std::uint16_t> bound_port_{0};
   std::atomic<bool> stopping_{false};
   std::mutex serve_mu_;
   std::condition_variable serve_cv_;
   bool serve_running_ = false;
-  EpollPlane* plane_ = nullptr;  // live while serve_epoll() runs; under
+  EpollPlane* plane_ = nullptr;  // live while serve() runs; under
                                  // serve_mu_ so stop() can wake it
-  std::mutex conns_mu_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
 };
 
 }  // namespace tecfan::cluster

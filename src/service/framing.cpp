@@ -14,6 +14,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <string>
+
+#include "util/error.h"
 
 namespace tecfan::service {
 namespace {
@@ -71,6 +74,27 @@ bool set_nonblocking(int fd, bool nonblocking) {
   const int next = nonblocking ? (flags | O_NONBLOCK)
                                : (flags & ~O_NONBLOCK);
   return ::fcntl(fd, F_SETFL, next) == 0;
+}
+
+Listener listen_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0)
+    throw precondition_error(std::string("socket() failed: ") +
+                             std::strerror(errno));
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr = loopback_addr(port);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, 64) != 0) {
+    const int err = errno;
+    ::close(fd);
+    throw precondition_error(std::string("cannot listen on port ") +
+                             std::to_string(port) + ": " +
+                             std::strerror(err));
+  }
+  socklen_t len = sizeof(addr);
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  return {fd, ntohs(addr.sin_port)};
 }
 
 int connect_loopback(std::uint16_t port) {

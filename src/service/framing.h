@@ -1,19 +1,20 @@
 // Socket framing helpers for the line protocol, shared by the server-side
-// session loops (service::Server), the cluster router and its backend
-// clients (src/cluster/), and the tools (loadgen, tecrouter).
+// session loops (service::Server), the cluster router and its health
+// probes (src/cluster/), and the tools (loadgen, tecrouter).
 //
 // Everything here is loopback-TCP plumbing for "one request line in, one
-// response line out": connect, send a whole buffer, and incrementally
-// split received bytes into lines. All writes use MSG_NOSIGNAL so a peer
-// that disappears mid-response surfaces as an EPIPE error return instead
-// of a process-killing SIGPIPE; daemon mains additionally call
-// ignore_sigpipe() to cover any stray write paths.
+// response line out": listen, connect, send a whole buffer, and
+// incrementally split received bytes into lines. All writes use
+// MSG_NOSIGNAL so a peer that disappears mid-response surfaces as an EPIPE
+// error return instead of a process-killing SIGPIPE; daemon mains
+// additionally call ignore_sigpipe() to cover any stray write paths.
 //
 // Two usage styles coexist:
 //
 //   * Blocking (one request in flight per connection): connect_loopback +
-//     send_all + LineReader::read_line. Used by the tools, the pooled
-//     BackendClient, and the thread-per-session server loops.
+//     send_all + LineReader::read_line. Used by the tools, the router's
+//     health probes (one bounded dial + `ping` per probe), and tecfand's
+//     thread-per-session loops.
 //   * Nonblocking (event-driven state machines): set_nonblocking +
 //     LineReader::append/pop_line to consume externally-recv()ed bytes,
 //     and WriteQueue to coalesce small response writes into one writev()
@@ -49,6 +50,17 @@ void set_tcp_nodelay(int fd);
 
 /// O_NONBLOCK on/off. Returns false when fcntl fails.
 bool set_nonblocking(int fd, bool nonblocking = true);
+
+/// A bound, listening loopback socket and the port it got.
+struct Listener {
+  int fd = -1;
+  std::uint16_t port = 0;
+};
+
+/// Bind 127.0.0.1:port (SO_REUSEADDR, so a restarted daemon rebinds its
+/// port through the TIME_WAIT tail) and listen; port 0 picks an ephemeral
+/// port. Throws precondition_error when the socket cannot be bound.
+Listener listen_loopback(std::uint16_t port);
 
 /// Blocking connect to 127.0.0.1:port. Returns the connected fd (with
 /// TCP_NODELAY set), or -1.

@@ -1,6 +1,5 @@
 #include "service/server.h"
 
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -8,7 +7,6 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <future>
 #include <istream>
 #include <ostream>
@@ -518,30 +516,10 @@ void Server::serve_pipe(std::istream& in, std::ostream& out) {
 
 std::uint16_t Server::bind_listen(std::uint16_t port) {
   TECFAN_REQUIRE(listen_fd_.load() < 0, "already listening");
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  TECFAN_REQUIRE(fd >= 0, "socket() failed");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    throw precondition_error(std::string("bind() failed: ") +
-                             std::strerror(errno));
-  }
-  if (::listen(fd, 64) != 0) {
-    ::close(fd);
-    throw precondition_error(std::string("listen() failed: ") +
-                             std::strerror(errno));
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  listen_fd_.store(fd);
-  bound_port_.store(ntohs(addr.sin_port));
-  return bound_port_.load();
+  const Listener listener = listen_loopback(port);
+  listen_fd_.store(listener.fd);
+  bound_port_.store(listener.port);
+  return listener.port;
 }
 
 void Server::serve() {
@@ -570,9 +548,11 @@ void Server::serve() {
     }
     // Small request/response lines: Nagle coalescing only adds latency.
     set_tcp_nodelay(fd);
+    reap_finished_sessions();
     std::lock_guard<std::mutex> lock(conns_mu_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] {
+    Session& session = sessions_.emplace_back();
+    session.fd = fd;
+    session.thread = std::thread([this, fd, &session] {
       // LineReader bounds the per-session buffer: a peer that streams
       // bytes with no '\n' is answered with one protocol error and cut
       // off instead of growing the accumulator without limit.
@@ -602,13 +582,12 @@ void Server::serve() {
         if (!send_all(fd, reply)) break;
       }
       // Deregister before closing so stop() never shuts down a recycled
-      // descriptor number. (stop() joins outside conns_mu_, so taking the
-      // lock here cannot deadlock.)
+      // descriptor number, and mark the thread for the accept loop to
+      // join. (Joins happen outside conns_mu_, so taking the lock here
+      // cannot deadlock.)
       {
         std::lock_guard<std::mutex> lock(conns_mu_);
-        conn_fds_.erase(
-            std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
-            conn_fds_.end());
+        session.fd = -1;
       }
       ::close(fd);
     });
@@ -640,16 +619,32 @@ void Server::stop() {
     }
     ::close(listen_fd);
   }
-  std::vector<std::thread> threads;
+  std::list<Session> sessions;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
-    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-    conn_fds_.clear();
-    threads.swap(conn_threads_);
+    for (const Session& session : sessions_)
+      if (session.fd >= 0) ::shutdown(session.fd, SHUT_RDWR);
+    sessions.swap(sessions_);
   }
-  for (auto& t : threads)
-    if (t.joinable()) t.join();
+  for (Session& session : sessions)
+    if (session.thread.joinable()) session.thread.join();
   pool_.shutdown(true);
+}
+
+void Server::reap_finished_sessions() {
+  // A session thread's stack and guard mappings stay reserved until it is
+  // joined, so a daemon that joined only at stop() would exhaust
+  // vm.max_map_count after ~32k connections (an hour of health probes).
+  std::list<Session> finished;
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+      const auto next = std::next(it);
+      if (it->fd < 0) finished.splice(finished.end(), sessions_, it);
+      it = next;
+    }
+  }
+  for (Session& session : finished) session.thread.join();
 }
 
 }  // namespace tecfan::service

@@ -14,8 +14,9 @@
 //   * serve_pipe() is the stdin/stdout daemon mode: one request line in,
 //     one response line out, until `quit` or EOF,
 //   * bind_listen()/serve() is the local TCP mode: one thread per accepted
-//     connection, each running the same line protocol; compute requests go
-//     through the bounded worker pool, so a saturated daemon answers `busy`
+//     connection, each running the same line protocol, joined by the
+//     accept loop once its connection closes; compute requests go through
+//     the bounded worker pool, so a saturated daemon answers `busy`
 //     instead of queueing unboundedly.
 #pragma once
 
@@ -25,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -95,7 +97,9 @@ class Server {
   /// Returns the bound port. Call before serve().
   std::uint16_t bind_listen(std::uint16_t port);
 
-  /// Accept loop; returns after stop(). One thread per connection.
+  /// Accept loop; returns after stop(). One thread per connection; the
+  /// loop joins finished sessions as it accepts new ones, so a long run
+  /// of short connections holds no dead threads.
   void serve();
 
   /// Stop the accept loop and open connections, drain the worker pool.
@@ -201,6 +205,16 @@ class Server {
   std::atomic<std::size_t> workspace_bytes_{0};  // max observed
   std::chrono::steady_clock::time_point started_at_;
 
+  /// One accepted connection and the thread serving it. `fd` is guarded
+  /// by conns_mu_; the thread sets it to -1 just before it closes the
+  /// socket and exits, which marks the session ready to join.
+  struct Session {
+    int fd = -1;
+    std::thread thread;
+  };
+  /// Join every session whose thread has finished (accept loop only).
+  void reap_finished_sessions();
+
   // TCP state. listen_fd_ is handed from bind_listen() to serve() and
   // reclaimed by stop(), which may run on a different thread; the
   // serve_running_ handshake keeps stop() from closing the socket while
@@ -212,8 +226,7 @@ class Server {
   std::condition_variable serve_cv_;
   bool serve_running_ = false;
   std::mutex conns_mu_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  std::list<Session> sessions_;  // list: session threads hold references
 };
 
 }  // namespace tecfan::service

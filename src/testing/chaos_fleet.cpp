@@ -349,9 +349,19 @@ StormReport run_storm(ChaosFleet& fleet, const StormOptions& options) {
             " backend e2e roots (a losing attempt's spans leaked in)");
     }
   }
-  std::int64_t open_spans = tracer.open_spans();
-  for (std::size_t b = 0; b < fleet.backend_count(); ++b)
-    open_spans += fleet.backend(b).tracer().open_spans();
+  // A backend may still be computing a forward whose pipe was cut after
+  // the router failed it over and answered the client; that compute's
+  // span closes when the compute finishes, so wait for the fleet to go
+  // idle as invariant 3 does. A leaked span never closes.
+  const auto spans_deadline = Clock::now() + std::chrono::seconds(10);
+  std::int64_t open_spans;
+  for (;;) {
+    open_spans = tracer.open_spans();
+    for (std::size_t b = 0; b < fleet.backend_count(); ++b)
+      open_spans += fleet.backend(b).tracer().open_spans();
+    if (open_spans == 0 || Clock::now() >= spans_deadline) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   report.open_spans_after = open_spans;
   if (open_spans != 0)
     report.violations.push_back("span rings leaked " +

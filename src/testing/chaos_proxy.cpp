@@ -1,7 +1,5 @@
 #include "testing/chaos_proxy.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -51,23 +49,10 @@ double ChaosProxy::Rng::next_unit() {
 
 ChaosProxy::ChaosProxy(ChaosProxyOptions options) : options_(options) {
   TECFAN_REQUIRE(options_.target_port != 0, "ChaosProxy needs a target port");
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  TECFAN_REQUIRE(listen_fd_ >= 0, "ChaosProxy socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(options_.listen_port);
-  TECFAN_REQUIRE(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                        sizeof(addr)) == 0,
-                 "ChaosProxy bind() failed");
-  TECFAN_REQUIRE(::listen(listen_fd_, 64) == 0, "ChaosProxy listen() failed");
-  socklen_t len = sizeof(addr);
-  TECFAN_REQUIRE(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                               &len) == 0,
-                 "ChaosProxy getsockname() failed");
-  port_ = ntohs(addr.sin_port);
+  const service::Listener listener =
+      service::listen_loopback(options_.listen_port);
+  listen_fd_ = listener.fd;
+  port_ = listener.port;
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 

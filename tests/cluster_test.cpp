@@ -1,9 +1,9 @@
-// Tests for the cluster layer: the consistent-hash ShardMap, the pooled
-// BackendClient, HealthMonitor markdown/recovery, and end-to-end router
-// smoke tests (routed responses bit-identical to direct serving, disjoint
-// backend cache shards, transparent failover when a backend dies). The
-// ClusterSmoke suite runs real in-process Server fleets and is included
-// in the tier-1 TSan leg.
+// Tests for the cluster layer: the consistent-hash ShardMap, HealthMonitor
+// markdown/recovery, and end-to-end router smoke tests over TCP (routed
+// responses bit-identical to direct serving, disjoint backend cache
+// shards, transparent failover when a backend dies). The ClusterSmoke
+// suite runs real in-process Server fleets behind a live router and is
+// included in the tier-1 TSan and ASan legs.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -23,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/backend_client.h"
 #include "cluster/event_loop.h"
 #include "cluster/health_monitor.h"
 #include "cluster/router.h"
@@ -125,7 +124,7 @@ TEST(ShardMap, FleetGrowthMovesOnlyAMinorityOfKeys) {
   EXPECT_GT(moved, 0u);  // the new backend did take some share
 }
 
-// ----------------------------------------------------------- backend client
+// ------------------------------------------------------------ test fleets
 
 service::ServerOptions small_server_options() {
   service::ServerOptions o;
@@ -166,21 +165,9 @@ struct LiveServer {
 /// never replies — a backend that dials fine yet stalls every request.
 struct SilentBackend {
   SilentBackend() {
-    listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(listen_fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    EXPECT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                     sizeof(addr)),
-              0);
-    EXPECT_EQ(::listen(listen_fd, 16), 0);
-    socklen_t len = sizeof(addr);
-    EXPECT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                            &len),
-              0);
-    port = ntohs(addr.sin_port);
+    const service::Listener listener = service::listen_loopback(0);
+    listen_fd = listener.fd;
+    port = listener.port;
     thread = std::thread([this] {
       while (!stop.load()) {
         const int fd = ::accept(listen_fd, nullptr, nullptr);
@@ -220,60 +207,106 @@ std::uint16_t dead_port() {
   return ntohs(addr.sin_port);
 }
 
-TEST(BackendClient, RoundTripReusesPooledConnections) {
-  LiveServer backend;
-  cluster::BackendClient client(backend.port);
+/// A raw line-protocol client that can pipeline: write many request lines
+/// in one burst, then read the responses back one by one.
+struct RawClient {
+  explicit RawClient(std::uint16_t port)
+      : fd(service::connect_loopback(port)), reader(fd) {
+    EXPECT_GE(fd, 0);
+  }
+  ~RawClient() {
+    if (fd >= 0) ::close(fd);
+  }
+  bool send_lines(const std::vector<std::string>& lines) {
+    std::string burst;
+    for (const auto& line : lines) burst += line + '\n';
+    return service::send_all(fd, burst);
+  }
+  std::optional<std::string> read_line(std::chrono::seconds timeout = 30s) {
+    return reader.read_line(std::chrono::steady_clock::now() + timeout);
+  }
+  /// Send one line and return its reply ("" when none arrives).
+  std::string round_trip(const std::string& line) {
+    if (!send_lines({line})) return "";
+    return read_line().value_or("");
+  }
 
-  const auto r1 = client.round_trip("ping");
-  ASSERT_TRUE(r1);
-  EXPECT_EQ(r1->rfind("ok", 0), 0u) << *r1;
-  const auto r2 = client.round_trip("ping");
-  ASSERT_TRUE(r2);
-  EXPECT_EQ(*r1, *r2);
+  int fd = -1;
+  service::LineReader reader;
+};
 
-  const auto s = client.stats();
-  EXPECT_EQ(s.dials, 1u);  // second round trip reused the pooled conn
-  EXPECT_EQ(s.reuses, 1u);
-  EXPECT_EQ(s.abandons, 0u);
-  EXPECT_EQ(s.idle, 1u);
+/// A backend whose responses are scripted per connection: the i-th request
+/// line on a connection is answered with script[i] verbatim; requests past
+/// the end of the script are swallowed silently (the backend stalls).
+struct ScriptedBackend {
+  explicit ScriptedBackend(std::vector<std::string> script_lines)
+      : script(std::move(script_lines)) {
+    const service::Listener listener = service::listen_loopback(0);
+    listen_fd = listener.fd;
+    port = listener.port;
+    thread = std::thread([this] {
+      for (;;) {
+        const int fd = ::accept(listen_fd, nullptr, nullptr);
+        if (fd < 0) break;  // listen_fd closed by the destructor
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          conn_fds.push_back(fd);
+        }
+        service::LineReader conn_reader(fd);
+        std::size_t i = 0;
+        while (auto line = conn_reader.read_line()) {
+          if (i < script.size()) service::send_all(fd, script[i] + "\n");
+          ++i;  // past the script: swallow the request, never reply
+        }
+      }
+    });
+  }
+  ~ScriptedBackend() {
+    ::shutdown(listen_fd, SHUT_RDWR);
+    ::close(listen_fd);
+    close_conns();
+    if (thread.joinable()) thread.join();
+    std::lock_guard<std::mutex> lock(mu);
+    for (const int fd : conn_fds) ::close(fd);
+  }
+  /// Hard-stop every accepted connection: the router sees EOF with its
+  /// whole in-flight FIFO outstanding — the backend "died".
+  void close_conns() {
+    std::lock_guard<std::mutex> lock(mu);
+    for (const int fd : conn_fds) ::shutdown(fd, SHUT_RDWR);
+  }
 
-  client.close_idle();
-  EXPECT_EQ(client.stats().idle, 0u);
-}
+  std::vector<std::string> script;
+  int listen_fd = -1;
+  std::uint16_t port = 0;
+  std::mutex mu;
+  std::vector<int> conn_fds;
+  std::thread thread;
+};
 
-TEST(BackendClient, DialFailureIsACleanMiss) {
-  cluster::BackendClient client(dead_port());
-  auto lease = client.lease();
-  EXPECT_FALSE(lease.valid());
-  EXPECT_FALSE(client.round_trip("ping",
-                                 std::chrono::steady_clock::now() + 100ms));
-  EXPECT_GE(client.stats().dial_failures, 2u);
-  EXPECT_EQ(client.stats().idle, 0u);
-}
-
-TEST(BackendClient, DeadlineTimeoutAbandonsTheConnection) {
-  // The backend accepts and stalls: the read must time out at the
-  // deadline and the connection must NOT go back to the pool (a late
-  // reply on a reused connection would answer the wrong request).
-  SilentBackend backend;
-  cluster::BackendClient client(backend.port);
-  const auto reply = client.round_trip(
-      "ping", std::chrono::steady_clock::now() + 50ms);
-  EXPECT_FALSE(reply);
-  const auto s = client.stats();
-  EXPECT_EQ(s.dials, 1u);
-  EXPECT_EQ(s.abandons, 1u);
-  EXPECT_EQ(s.idle, 0u);
-}
+/// A router with its data plane serving on an ephemeral port.
+struct LiveRouter {
+  explicit LiveRouter(cluster::RouterOptions options)
+      : router(std::move(options)) {
+    port = router.bind_listen(0);
+    thread = std::thread([this] { router.serve(); });
+  }
+  ~LiveRouter() {
+    router.stop();
+    if (thread.joinable()) thread.join();
+  }
+  cluster::Router router;
+  std::uint16_t port = 0;
+  std::thread thread;
+};
 
 // ------------------------------------------------------------ health monitor
 
 TEST(HealthMonitor, TrafficReportsMarkDownAndRecover) {
   // No monitor thread: pure traffic-path observations.
-  cluster::BackendClient client(dead_port());
   cluster::HealthMonitor::Options opts;
   opts.down_after = 2;
-  cluster::HealthMonitor monitor({&client}, opts);
+  cluster::HealthMonitor monitor({dead_port()}, opts);
 
   EXPECT_TRUE(monitor.up(0));  // optimistic start
   monitor.report_failure(0);
@@ -290,14 +323,11 @@ TEST(HealthMonitor, TrafficReportsMarkDownAndRecover) {
 
 TEST(HealthMonitor, ProbesMarkDeadBackendDownAndLiveBackendUp) {
   LiveServer live;
-  cluster::BackendClient up_client(live.port);
-  cluster::BackendClient down_client(dead_port());
-
   cluster::HealthMonitor::Options opts;
   opts.interval_s = 0.01;
   opts.down_after = 2;
   opts.ping_timeout_ms = 200.0;
-  cluster::HealthMonitor monitor({&up_client, &down_client}, opts);
+  cluster::HealthMonitor monitor({live.port, dead_port()}, opts);
   monitor.start();
 
   monitor.probe_now();
@@ -320,20 +350,17 @@ TEST(HealthMonitor, ProbesMarkDeadBackendDownAndLiveBackendUp) {
 TEST(HealthMonitor, RestartedBackendIsMarkedUpAgain) {
   auto backend = std::make_unique<LiveServer>();
   const std::uint16_t port = backend->port;
-  cluster::BackendClient client(port);
-
   cluster::HealthMonitor::Options opts;
   opts.interval_s = 0.01;
   opts.down_after = 1;
   opts.backoff_base_s = 0.01;
   opts.backoff_max_s = 0.05;
-  cluster::HealthMonitor monitor({&client}, opts);
+  cluster::HealthMonitor monitor({port}, opts);
   monitor.start();
   monitor.probe_now();
   ASSERT_TRUE(monitor.up(0));
 
   backend->kill();
-  client.close_idle();  // pooled conns to the dead server are stale
   monitor.probe_now();
   ASSERT_FALSE(monitor.up(0));
 
@@ -369,39 +396,39 @@ std::vector<std::string> distinct_requests(std::size_t n) {
 
 TEST(ClusterSmoke, ControlVerbsAreAnsweredLocally) {
   LiveServer b0, b1;
-  cluster::Router router(router_options({b0.port, b1.port}));
+  LiveRouter router(router_options({b0.port, b1.port}));
+  RawClient conn(router.port);
 
-  bool quit = false;
-  const auto pong = service::parse_response(router.handle_line("ping", &quit));
+  const auto pong = service::parse_response(conn.round_trip("ping"));
   EXPECT_EQ(pong.field("pong"), std::optional<std::string>("1"));
-  EXPECT_FALSE(quit);
 
-  const auto stats =
-      service::parse_response(router.handle_line("stats", &quit));
+  const auto stats = service::parse_response(conn.round_trip("stats"));
   ASSERT_EQ(stats.status, service::Response::Status::kOk);
   EXPECT_EQ(stats.field("name"), std::optional<std::string>("tecrouter"));
   EXPECT_EQ(stats.field("backends"), std::optional<std::string>("2"));
   EXPECT_EQ(stats.field("backend0_port"),
             std::optional<std::string>(std::to_string(b0.port)));
 
-  const auto bye = service::parse_response(router.handle_line("quit", &quit));
+  // `quit` is answered, then ends this client's session.
+  const auto bye = service::parse_response(conn.round_trip("quit"));
   EXPECT_EQ(bye.field("bye"), std::optional<std::string>("1"));
-  EXPECT_TRUE(quit);
+  EXPECT_FALSE(conn.read_line(5s));
 
   // None of those touched a backend.
-  EXPECT_EQ(router.stats().routed, 0u);
-  EXPECT_EQ(router.stats().local, 3u);
+  EXPECT_EQ(router.router.stats().routed, 0u);
+  EXPECT_EQ(router.router.stats().local, 3u);
 }
 
 TEST(ClusterSmoke, RoutedRepliesAreBitIdenticalToDirectServing) {
   LiveServer b0, b1;
-  cluster::Router router(router_options({b0.port, b1.port}));
+  LiveRouter router(router_options({b0.port, b1.port}));
+  RawClient conn(router.port);
   service::Server direct(small_server_options());  // reference: no fleet
 
   const auto requests = distinct_requests(8);
   std::vector<std::string> first_pass;
   for (const auto& line : requests) {
-    const std::string routed = router.handle_line(line);
+    const std::string routed = conn.round_trip(line);
     const auto parsed = service::parse_response(routed);
     ASSERT_EQ(parsed.status, service::Response::Status::kOk) << routed;
     EXPECT_FALSE(parsed.cached) << routed;
@@ -418,7 +445,7 @@ TEST(ClusterSmoke, RoutedRepliesAreBitIdenticalToDirectServing) {
   // Second pass: every reply is a cache hit on its owning shard, and the
   // payload matches the miss-path reply except for the cached flag.
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const std::string routed = router.handle_line(requests[i]);
+    const std::string routed = conn.round_trip(requests[i]);
     const auto parsed = service::parse_response(routed);
     ASSERT_EQ(parsed.status, service::Response::Status::kOk) << routed;
     EXPECT_TRUE(parsed.cached) << routed;
@@ -434,12 +461,12 @@ TEST(ClusterSmoke, RoutedRepliesAreBitIdenticalToDirectServing) {
   EXPECT_EQ(s0.cache.hits + s1.cache.hits, requests.size());
   std::size_t owned0 = 0;
   for (const auto& line : requests)
-    if (router.shards().owner(service::canonical_key(
+    if (router.router.shards().owner(service::canonical_key(
             service::parse_request(line).request)) == 0)
       ++owned0;
   EXPECT_EQ(s0.computes, owned0);
 
-  const auto rs = router.stats();
+  const auto rs = router.router.stats();
   EXPECT_EQ(rs.routed, 2 * requests.size());
   EXPECT_EQ(rs.failovers, 0u);
   EXPECT_EQ(rs.errors, 0u);
@@ -449,7 +476,9 @@ TEST(ClusterSmoke, FailoverOnBackendDeathIsInvisibleToClients) {
   LiveServer b0, b1;
   auto opts = router_options({b0.port, b1.port});
   opts.health.down_after = 2;
-  cluster::Router router(opts);
+  LiveRouter live(opts);
+  cluster::Router& router = live.router;
+  RawClient conn(live.port);
 
   // Find a request owned by each backend, then warm both.
   std::string owned_by[2];
@@ -461,7 +490,7 @@ TEST(ClusterSmoke, FailoverOnBackendDeathIsInvisibleToClients) {
   ASSERT_FALSE(owned_by[0].empty());
   ASSERT_FALSE(owned_by[1].empty());
   for (const auto& line : owned_by)
-    ASSERT_EQ(service::parse_response(router.handle_line(line)).status,
+    ASSERT_EQ(service::parse_response(conn.round_trip(line)).status,
               service::Response::Status::kOk);
 
   // Kill backend 0. The next request for its key must fail over to
@@ -469,7 +498,7 @@ TEST(ClusterSmoke, FailoverOnBackendDeathIsInvisibleToClients) {
   // failure and the retry lands on the replica.
   b0.kill();
   const auto failed_over =
-      service::parse_response(router.handle_line(owned_by[0]));
+      service::parse_response(conn.round_trip(owned_by[0]));
   EXPECT_EQ(failed_over.status, service::Response::Status::kOk)
       << failed_over.error;
   EXPECT_GE(router.stats().failovers, 1u);
@@ -482,29 +511,30 @@ TEST(ClusterSmoke, FailoverOnBackendDeathIsInvisibleToClients) {
   EXPECT_FALSE(router.health().up(0));
   const std::uint64_t failovers_before = router.stats().failovers;
   const auto rerouted =
-      service::parse_response(router.handle_line(owned_by[0]));
+      service::parse_response(conn.round_trip(owned_by[0]));
   EXPECT_EQ(rerouted.status, service::Response::Status::kOk);
   EXPECT_TRUE(rerouted.cached);  // the replica computed it during failover
   EXPECT_EQ(router.stats().failovers, failovers_before);
   EXPECT_EQ(router.stats().errors, 0u);
 
   // The survivor still answers its own keys.
-  EXPECT_EQ(service::parse_response(router.handle_line(owned_by[1])).status,
+  EXPECT_EQ(service::parse_response(conn.round_trip(owned_by[1])).status,
             service::Response::Status::kOk);
 }
 
 TEST(ClusterSmoke, AllBackendsDownYieldsAnErrorNotAHang) {
   auto opts = router_options({dead_port()});
   opts.health.down_after = 1;
-  cluster::Router router(opts);
-  router.health().probe_now();
-  EXPECT_EQ(router.health().up_count(), 0u);
+  LiveRouter router(opts);
+  router.router.health().probe_now();
+  EXPECT_EQ(router.router.health().up_count(), 0u);
 
+  RawClient conn(router.port);
   const auto r = service::parse_response(
-      router.handle_line("equilibrium workload=water threads=4 fan=1"));
+      conn.round_trip("equilibrium workload=water threads=4 fan=1"));
   EXPECT_EQ(r.status, service::Response::Status::kError);
   EXPECT_NE(r.error.find("no backend"), std::string::npos) << r.error;
-  EXPECT_GE(router.stats().errors, 1u);
+  EXPECT_GE(router.router.stats().errors, 1u);
 }
 
 TEST(ClusterSmoke, HedgeFiresWhenThePrimaryStalls) {
@@ -517,24 +547,25 @@ TEST(ClusterSmoke, HedgeFiresWhenThePrimaryStalls) {
   opts.hedge_ms = 10.0;
   opts.health.interval_s = 30.0;   // keep probes out of the way
   opts.health.down_after = 1000;   // the stalled backend must stay "up"
-  cluster::Router router(opts);
+  LiveRouter router(opts);
 
   // A request whose canonical key is owned by the stalled backend.
   std::string stalled_line;
   for (const auto& line : distinct_requests(32)) {
     const auto key =
         service::canonical_key(service::parse_request(line).request);
-    if (router.shards().owner(key) == 0) {
+    if (router.router.shards().owner(key) == 0) {
       stalled_line = line;
       break;
     }
   }
   ASSERT_FALSE(stalled_line.empty());
-  EXPECT_GT(router.current_hedge_delay_us(), 0.0);
+  EXPECT_GT(router.router.current_hedge_delay_us(), 0.0);
 
-  const auto r = service::parse_response(router.handle_line(stalled_line));
+  RawClient conn(router.port);
+  const auto r = service::parse_response(conn.round_trip(stalled_line));
   EXPECT_EQ(r.status, service::Response::Status::kOk) << r.error;
-  const auto rs = router.stats();
+  const auto rs = router.router.stats();
   EXPECT_GE(rs.hedges, 1u);
   EXPECT_GE(rs.hedge_wins, 1u);
   EXPECT_EQ(rs.errors, 0u);
@@ -542,35 +573,30 @@ TEST(ClusterSmoke, HedgeFiresWhenThePrimaryStalls) {
 
 TEST(ClusterSmoke, TcpEndToEndThroughTheRouter) {
   LiveServer b0, b1;
-  cluster::Router router(router_options({b0.port, b1.port}));
-  const std::uint16_t port = router.bind_listen(0);
-  std::thread serving([&router] { router.serve(); });
+  LiveRouter router(router_options({b0.port, b1.port}));
 
   // Concurrent client sessions through the router's TCP front door, each
   // reusing the line protocol exactly as against a single tecfand.
   std::vector<std::thread> clients;
   std::atomic<int> failures{0};
   for (int c = 0; c < 3; ++c) {
-    clients.emplace_back([port, c, &failures] {
-      cluster::BackendClient conn(port);  // plain line-protocol client
+    clients.emplace_back([&router, c, &failures] {
+      RawClient conn(router.port);
       for (int i = 0; i < 4; ++i) {
-        const auto reply = conn.round_trip(
+        const std::string reply = conn.round_trip(
             "equilibrium workload=water threads=4 fan=" +
-                std::to_string((c + i) % 7),
-            std::chrono::steady_clock::now() + 30s);
-        if (!reply || reply->rfind("ok", 0) != 0) failures.fetch_add(1);
+            std::to_string((c + i) % 7));
+        if (reply.rfind("ok", 0) != 0) failures.fetch_add(1);
       }
     });
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
 
-  router.stop();
-  serving.join();
-  EXPECT_GE(router.stats().requests, 12u);
+  EXPECT_GE(router.router.stats().requests, 12u);
   // The router's own per-stage histograms saw every routed request.
   bool saw_route = false;
-  for (const auto& [name, snap] : router.metrics().histograms())
+  for (const auto& [name, snap] : router.router.metrics().histograms())
     if (name == "route") {
       saw_route = true;
       EXPECT_GE(snap.count, 12u);
@@ -601,16 +627,17 @@ TEST(ClusterSmoke, RoutedMissReassemblesAMultiTierTrace) {
   LiveServer b0, b1;
   auto opts = router_options({b0.port, b1.port});
   opts.trace_every = 1;
-  cluster::Router router(opts);
+  LiveRouter live(opts);
+  const cluster::Router& router = live.router;
+  RawClient conn(live.port);
 
   const std::string reply =
-      router.handle_line("equilibrium workload=water threads=4 fan=1");
+      conn.round_trip("equilibrium workload=water threads=4 fan=1");
   const auto parsed = service::parse_response(reply);
   ASSERT_EQ(parsed.status, service::Response::Status::kOk) << reply;
   ASSERT_TRUE(parsed.field("trace")) << reply;
 
-  const auto dump =
-      service::parse_response(router.handle_line("trace limit=4"));
+  const auto dump = service::parse_response(conn.round_trip("trace limit=4"));
   ASSERT_EQ(dump.status, service::Response::Status::kOk);
   EXPECT_EQ(dump.field("traces"), std::optional<std::string>("1"));
   const auto t0 = dump.field("t0");
@@ -664,10 +691,11 @@ TEST(ClusterSmoke, RoutedMissReassemblesAMultiTierTrace) {
 
 TEST(ClusterSmoke, RouterStatsAndPromExpositionCarryIdentity) {
   LiveServer b0, b1;
-  cluster::Router router(router_options({b0.port, b1.port}));
-  router.handle_line("equilibrium workload=water threads=4 fan=1");
+  LiveRouter router(router_options({b0.port, b1.port}));
+  RawClient conn(router.port);
+  conn.round_trip("equilibrium workload=water threads=4 fan=1");
 
-  const auto stats = service::parse_response(router.handle_line("stats"));
+  const auto stats = service::parse_response(conn.round_trip("stats"));
   ASSERT_EQ(stats.status, service::Response::Status::kOk);
   EXPECT_TRUE(stats.field("build"));
   EXPECT_TRUE(stats.field("uptime_s"));
@@ -675,8 +703,14 @@ TEST(ClusterSmoke, RouterStatsAndPromExpositionCarryIdentity) {
   EXPECT_TRUE(stats.field("traces_adopted"));
 
   // Same exposition contract as tecfand's: raw text, tecfan_ families,
-  // terminated by the EOF marker.
-  const std::string prom = router.handle_line("metrics prom");
+  // terminated by the EOF marker (the protocol's one multi-line reply).
+  ASSERT_TRUE(conn.send_lines({"metrics prom"}));
+  std::string prom;
+  while (const auto line = conn.read_line()) {
+    prom += *line;
+    if (*line == "# EOF") break;
+    prom += '\n';
+  }
   EXPECT_NE(prom.find("# TYPE tecfan_routed_total counter"),
             std::string::npos);
   EXPECT_NE(prom.find("tecfan_e2e_miss_latency_us_count 1"),
@@ -741,106 +775,6 @@ TEST(EventLoop, DispatchesFdEventsAndStopsFromAnotherThread) {
 }
 
 // -------------------------------------------------- pipelined data plane
-
-/// A raw line-protocol client that can pipeline: write many request lines
-/// in one burst, then read the responses back one by one.
-struct RawClient {
-  explicit RawClient(std::uint16_t port)
-      : fd(service::connect_loopback(port)), reader(fd) {
-    EXPECT_GE(fd, 0);
-  }
-  ~RawClient() {
-    if (fd >= 0) ::close(fd);
-  }
-  bool send_lines(const std::vector<std::string>& lines) {
-    std::string burst;
-    for (const auto& line : lines) burst += line + '\n';
-    return service::send_all(fd, burst);
-  }
-  std::optional<std::string> read_line(std::chrono::seconds timeout = 30s) {
-    return reader.read_line(std::chrono::steady_clock::now() + timeout);
-  }
-
-  int fd = -1;
-  service::LineReader reader;
-};
-
-/// A backend whose responses are scripted per connection: the i-th request
-/// line on a connection is answered with script[i] verbatim; requests past
-/// the end of the script are swallowed silently (the backend stalls).
-struct ScriptedBackend {
-  explicit ScriptedBackend(std::vector<std::string> script_lines)
-      : script(std::move(script_lines)) {
-    listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(listen_fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    EXPECT_EQ(
-        ::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-        0);
-    EXPECT_EQ(::listen(listen_fd, 16), 0);
-    socklen_t len = sizeof(addr);
-    EXPECT_EQ(
-        ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len),
-        0);
-    port = ntohs(addr.sin_port);
-    thread = std::thread([this] {
-      for (;;) {
-        const int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd < 0) break;  // listen_fd closed by the destructor
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          conn_fds.push_back(fd);
-        }
-        service::LineReader conn_reader(fd);
-        std::size_t i = 0;
-        while (auto line = conn_reader.read_line()) {
-          if (i < script.size()) service::send_all(fd, script[i] + "\n");
-          ++i;  // past the script: swallow the request, never reply
-        }
-      }
-    });
-  }
-  ~ScriptedBackend() {
-    ::shutdown(listen_fd, SHUT_RDWR);
-    ::close(listen_fd);
-    close_conns();
-    if (thread.joinable()) thread.join();
-    std::lock_guard<std::mutex> lock(mu);
-    for (const int fd : conn_fds) ::close(fd);
-  }
-  /// Hard-stop every accepted connection: the router sees EOF with its
-  /// whole in-flight FIFO outstanding — the backend "died".
-  void close_conns() {
-    std::lock_guard<std::mutex> lock(mu);
-    for (const int fd : conn_fds) ::shutdown(fd, SHUT_RDWR);
-  }
-
-  std::vector<std::string> script;
-  int listen_fd = -1;
-  std::uint16_t port = 0;
-  std::mutex mu;
-  std::vector<int> conn_fds;
-  std::thread thread;
-};
-
-/// A router with its accept loop running on the chosen data plane.
-struct LiveRouter {
-  explicit LiveRouter(cluster::RouterOptions options)
-      : router(std::move(options)) {
-    port = router.bind_listen(0);
-    thread = std::thread([this] { router.serve(); });
-  }
-  ~LiveRouter() {
-    router.stop();
-    if (thread.joinable()) thread.join();
-  }
-  cluster::Router router;
-  std::uint16_t port = 0;
-  std::thread thread;
-};
 
 /// Request lines whose canonical key the ShardMap assigns to `backend`,
 /// drawn from the 4-thread workload x fan x dvfs grid the 2x2-tile test
@@ -999,33 +933,33 @@ TEST(RouterPipeline, MalformedMidPipelineResponseAbandonsTheConnection) {
 // ------------------------------------------------- data-plane equivalence
 
 TEST(DataPlaneEquivalence, ByteIdenticalResponseStreams) {
-  // The epoll plane and the legacy thread-per-session plane are two
-  // implementations of the same contract: drive identical fleets with an
-  // identical pipelined request sequence (miss pass + hit pass) and the
-  // response byte streams must match exactly.
+  // The router's data plane must be invisible in the bytes: drive a
+  // 2-backend fleet with a pipelined request sequence (miss pass + hit
+  // pass) and the response stream must match, line for line and cached
+  // flags included, a direct Server answering the same sequence in order.
   const auto lines = distinct_requests(10);
   std::vector<std::string> sequence(lines.begin(), lines.end());
   sequence.insert(sequence.end(), lines.begin(), lines.end());
 
-  std::vector<std::vector<std::string>> streams;
-  for (const auto plane :
-       {cluster::DataPlane::kEpoll, cluster::DataPlane::kThreads}) {
-    LiveServer b0, b1;
-    auto opts = router_options({b0.port, b1.port});
-    opts.data_plane = plane;
-    LiveRouter router(opts);
-    RawClient conn(router.port);
-    ASSERT_TRUE(conn.send_lines(sequence));
-    std::vector<std::string> stream;
-    for (std::size_t i = 0; i < sequence.size(); ++i) {
-      const auto reply = conn.read_line();
-      ASSERT_TRUE(reply) << "reply " << i;
-      stream.push_back(*reply);
-    }
-    streams.push_back(std::move(stream));
+  LiveServer b0, b1;
+  LiveRouter router(router_options({b0.port, b1.port}));
+  RawClient conn(router.port);
+  ASSERT_TRUE(conn.send_lines(sequence));
+  std::vector<std::string> stream;
+  for (std::size_t i = 0; i < sequence.size(); ++i) {
+    const auto reply = conn.read_line();
+    ASSERT_TRUE(reply) << "reply " << i;
+    stream.push_back(*reply);
   }
-  ASSERT_EQ(streams.size(), 2u);
-  EXPECT_EQ(streams[0], streams[1]);
+
+  service::Server direct(small_server_options());
+  std::vector<std::string> reference;
+  for (const auto& line : sequence) {
+    bool quit = false;
+    reference.push_back(direct.handle_line(line, &quit));
+  }
+  EXPECT_EQ(stream, reference);
+  EXPECT_EQ(router.router.stats().errors, 0u);
 }
 
 // --------------------------------------------- bounded health-probe dials
@@ -1057,11 +991,10 @@ TEST(HealthMonitor, ProbeOfABlackholedBackendIsBoundedByTheDialTimeout) {
     if (fd >= 0) fillers.push_back(fd);
   }
 
-  cluster::BackendClient client(port, 4, /*dial_timeout_ms=*/100.0);
   cluster::HealthMonitor::Options opts;
   opts.interval_s = 30.0;
-  opts.ping_timeout_ms = 150.0;
-  cluster::HealthMonitor monitor({&client}, opts);
+  opts.ping_timeout_ms = 150.0;  // bounds the dial and the ping together
+  cluster::HealthMonitor monitor({port}, opts);
 
   const auto t0 = std::chrono::steady_clock::now();
   monitor.probe_now();
@@ -1078,6 +1011,25 @@ TEST(HealthMonitor, ProbeOfABlackholedBackendIsBoundedByTheDialTimeout) {
   ::close(listen_fd);
 }
 
+TEST(HealthMonitor, GarbagePingReplyFailsTheProbe) {
+  // The backend accepts and answers, but not with a protocol reply: a
+  // probe must count that as a failure, and down_after of them mark the
+  // backend down.
+  ScriptedBackend liar({"%% this is not a protocol line %%"});
+  cluster::HealthMonitor::Options opts;
+  opts.down_after = 2;
+  opts.ping_timeout_ms = 500.0;
+  cluster::HealthMonitor monitor({liar.port}, opts);
+
+  monitor.probe_now();  // not started: probes on this thread
+  EXPECT_EQ(monitor.health(0).probe_failures, 1u);
+  EXPECT_TRUE(monitor.up(0));  // one failure is not a markdown
+  monitor.probe_now();
+  EXPECT_EQ(monitor.health(0).probe_failures, 2u);
+  EXPECT_FALSE(monitor.up(0));
+  EXPECT_EQ(monitor.health(0).markdowns, 1u);
+}
+
 // ------------------------------------------- health: probe/traffic races
 
 // Regression: a probe that started before a markdown could come back `ok`
@@ -1085,10 +1037,9 @@ TEST(HealthMonitor, ProbeOfABlackholedBackendIsBoundedByTheDialTimeout) {
 // stale evidence. finish_probe must discard any result whose epoch token
 // predates the markdown.
 TEST(HealthMonitor, StaleProbeResultCannotResurrectAMarkedDownBackend) {
-  cluster::BackendClient client(dead_port());
   cluster::HealthMonitor::Options opts;
   opts.down_after = 2;
-  cluster::HealthMonitor monitor({&client}, opts);
+  cluster::HealthMonitor monitor({dead_port()}, opts);
 
   // A probe is in flight...
   const auto token = monitor.begin_probe(0);
@@ -1113,12 +1064,11 @@ TEST(HealthMonitor, ConcurrentTrafficReportsAndProbesConverge) {
   // backend from several threads while the probe loop runs full-tilt.
   // No assertion beyond convergence — the value is the race detector.
   LiveServer live;
-  cluster::BackendClient client(live.port);
   cluster::HealthMonitor::Options opts;
   opts.interval_s = 0.005;
   opts.down_after = 2;
   opts.ping_timeout_ms = 500.0;
-  cluster::HealthMonitor monitor({&client}, opts);
+  cluster::HealthMonitor monitor({live.port}, opts);
   monitor.start();
 
   std::vector<std::thread> reporters;

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <clocale>
 #include <condition_variable>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -1158,6 +1159,40 @@ TEST(ServerLifecycle, StopDrainsInFlightConnections) {
   EXPECT_LE(::recv(partial_fd, buf, sizeof(buf), 0), 0);
   ::close(idle_fd);
   ::close(partial_fd);
+}
+
+/// Lines in /proc/self/maps: one per memory mapping of this process.
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+// Regression: the accept loop kept every session's thread until stop(),
+// so each closed connection left its stack and guard mappings behind;
+// ~32k connections (one per router health probe, for instance) exhausted
+// vm.max_map_count and aborted the daemon. Finished sessions are now
+// joined as new connections arrive.
+TEST(ServerLifecycle, ClosedSessionsDoNotAccumulateThreads) {
+  Server server(small_server_options());
+  const std::uint16_t port = server.bind_listen(0);
+  std::thread serving([&server] { server.serve(); });
+  const auto ping_once = [port] {
+    const int fd = connect_to(port);
+    LineReader reader(fd);
+    EXPECT_TRUE(send_all(fd, "ping\n"));
+    EXPECT_TRUE(reader.read_line(std::chrono::steady_clock::now() + 10s));
+    ::close(fd);
+  };
+  for (int i = 0; i < 20; ++i) ping_once();  // warm allocator + stack caches
+  const std::size_t before = mapping_count();
+  for (int i = 0; i < 300; ++i) ping_once();
+  const std::size_t after = mapping_count();
+  // Unjoined, 300 sessions would add ~600 mappings (stack + guard each).
+  EXPECT_LT(after, before + 100) << before << " -> " << after;
+  server.stop();
+  serving.join();
 }
 
 // -------------------------------------------------- framing: line bounds

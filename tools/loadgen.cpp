@@ -58,7 +58,6 @@ struct Args {
   int backends = 2;
   double hedge_ms = -1.0;
   std::uint64_t trace_every = 0;  // in-process tiers sample every Nth
-  cluster::DataPlane data_plane = cluster::DataPlane::kEpoll;
   bool warmup = true;
   bool check_p99 = false;
   std::string out = "BENCH_serving.json";
@@ -94,8 +93,6 @@ void usage() {
       "                   servers plus a tecrouter and drive the router\n"
       "  --backends N     fleet size for --router (default 2)\n"
       "  --hedge-ms X     router hedged retry: -1 off, 0 auto-p99, >0 fixed\n"
-      "  --data-plane P   router forwarding engine: epoll (default) or\n"
-      "                   threads (legacy thread-per-session oracle)\n"
       "  --trace-every N  sample every Nth compute request for cross-tier\n"
       "                   tracing in the in-process tiers (0 = off);\n"
       "                   sampled-trace counts land in the JSON report\n"
@@ -157,17 +154,6 @@ bool parse(int argc, char** argv, Args& out) {
       const char* v = next(i);
       if (!v) return false;
       out.trace_every = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (a == "--data-plane") {
-      const char* v = next(i);
-      if (!v) return false;
-      if (std::string(v) == "epoll") {
-        out.data_plane = cluster::DataPlane::kEpoll;
-      } else if (std::string(v) == "threads") {
-        out.data_plane = cluster::DataPlane::kThreads;
-      } else {
-        std::fprintf(stderr, "unknown --data-plane: %s\n", v);
-        return false;
-      }
     } else if (a == "--no-warmup") {
       out.warmup = false;
     } else if (a == "--check-p99") {
@@ -323,16 +309,13 @@ int main(int argc, char** argv) {
       cluster::RouterOptions options;
       options.backend_ports = backend_ports;
       options.hedge_ms = args.hedge_ms;
-      options.data_plane = args.data_plane;
       options.trace_every = args.trace_every;
       router = std::make_unique<cluster::Router>(options);
       port = router->bind_listen(0);
       router_thread = std::thread([&router] { router->serve(); });
       std::fprintf(stderr,
-                   "loadgen: in-process tecrouter (%s data plane) on port "
-                   "%u over %zu backends (%zu workers each)\n",
-                   args.data_plane == cluster::DataPlane::kEpoll ? "epoll"
-                                                                 : "threads",
+                   "loadgen: in-process tecrouter on port %u over %zu "
+                   "backends (%zu workers each)\n",
                    port, n, workers_each);
     } else {
       port = backend_ports.front();
@@ -592,12 +575,6 @@ int main(int argc, char** argv) {
          << (router ? "router" : (args.port >= 0 ? "external" : "direct"))
          << "\",\n"
          << "  \"backends\": " << (router ? args.backends : 1) << ",\n"
-         << "  \"data_plane\": \""
-         << (router ? (args.data_plane == cluster::DataPlane::kEpoll
-                           ? "epoll"
-                           : "threads")
-                    : "n/a")
-         << "\",\n"
          << "  \"router_failovers\": " << router_failovers << ",\n"
          << "  \"router_hedges\": " << router_hedges << ",\n"
          << "  \"trace_every\": " << args.trace_every << ",\n"

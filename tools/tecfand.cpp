@@ -19,12 +19,16 @@
 //   ok bye=1
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
+#include "cli_flags.h"
 #include "service/framing.h"
 #include "service/server.h"
 #include "util/metrics.h"
@@ -33,7 +37,7 @@ namespace {
 
 struct Args {
   bool pipe = false;
-  int port = -1;  // -1: not set
+  std::optional<std::uint16_t> port;
   std::size_t workers = tecfan::service::default_worker_count();
   std::size_t queue = 64;
   std::size_t cache = 4096;
@@ -91,47 +95,45 @@ void log_metrics(const tecfan::service::Server& server) {
 bool parse(int argc, char** argv, Args& out) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&](int& i) -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
     if (a == "--pipe") {
       out.pipe = true;
-    } else if (a == "--port") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.port = std::atoi(v);
-    } else if (a == "--workers") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.workers = static_cast<std::size_t>(std::atoi(v));
-    } else if (a == "--queue") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.queue = static_cast<std::size_t>(std::atoi(v));
-    } else if (a == "--cache") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.cache = static_cast<std::size_t>(std::atoi(v));
-    } else if (a == "--deadline-ms") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.deadline_ms = std::atof(v);
-    } else if (a == "--metrics-interval") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.metrics_interval_s = std::atof(v);
-    } else if (a == "--trace-every") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.trace_every = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (a == "--name") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.name = v;
-    } else if (a == "--help" || a == "-h") {
+      continue;
+    }
+    if (a == "--help" || a == "-h") {
       out.help = true;
+      continue;
+    }
+    // Every other flag takes a value; a missing one parses as "".
+    const bool has_value = i + 1 < argc;
+    const std::string_view v = has_value ? argv[++i] : "";
+    std::uint16_t port = 0;
+    bool ok;
+    if (a == "--port") {
+      ok = tecfan::cli::parse_port(v, port, /*allow_ephemeral=*/true);
+      if (ok) out.port = port;
+    } else if (a == "--workers") {
+      ok = tecfan::cli::parse_number(v, out.workers, 1, 1024);
+    } else if (a == "--queue") {
+      ok = tecfan::cli::parse_number(v, out.queue, 1, 1 << 20);
+    } else if (a == "--cache") {
+      ok = tecfan::cli::parse_number(v, out.cache, 1, 1 << 24);
+    } else if (a == "--deadline-ms") {
+      ok = tecfan::cli::parse_number(v, out.deadline_ms, 0.0, 1e9);
+    } else if (a == "--metrics-interval") {
+      ok = tecfan::cli::parse_number(v, out.metrics_interval_s, 0.0, 1e6);
+    } else if (a == "--trace-every") {
+      ok = tecfan::cli::parse_number(
+          v, out.trace_every, 0, std::numeric_limits<std::uint64_t>::max());
+    } else if (a == "--name") {
+      ok = has_value;
+      out.name = v;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "invalid value for %s: '%.*s'\n", a.c_str(),
+                   static_cast<int>(v.size()), v.data());
       return false;
     }
   }
@@ -146,12 +148,8 @@ int main(int argc, char** argv) {
     usage();
     return args.help ? 0 : 2;
   }
-  if (args.pipe && args.port >= 0) {
+  if (args.pipe && args.port) {
     std::fprintf(stderr, "error: --pipe and --port are exclusive\n");
-    return 2;
-  }
-  if (args.workers == 0 || args.queue == 0 || args.cache == 0) {
-    std::fprintf(stderr, "error: --workers/--queue/--cache must be > 0\n");
     return 2;
   }
 
@@ -192,9 +190,8 @@ int main(int argc, char** argv) {
     if (metrics_logger.joinable()) metrics_logger.join();
   };
 
-  if (args.port >= 0) {
-    const std::uint16_t port =
-        server.bind_listen(static_cast<std::uint16_t>(args.port));
+  if (args.port) {
+    const std::uint16_t port = server.bind_listen(*args.port);
     std::fprintf(stderr, "tecfand: listening on 127.0.0.1:%u (%zu workers)\n",
                  port, args.workers);
     std::fflush(stderr);

@@ -12,12 +12,16 @@
 //                                  # ephemeral port, auto p99 hedging
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "cli_flags.h"
 #include "cluster/router.h"
 #include "service/framing.h"
 #include "util/metrics.h"
@@ -27,16 +31,14 @@ namespace {
 using namespace tecfan;
 
 struct Args {
-  int port = -1;
+  std::optional<std::uint16_t> port;
   std::vector<std::uint16_t> backends;
   std::size_t vnodes = cluster::ShardMap::kDefaultVirtualNodes;
-  std::size_t pool = 8;
   double deadline_ms = 0.0;
   double hedge_ms = -1.0;
   double health_interval_s = 0.1;
   double metrics_interval_s = 0.0;  // 0 = no periodic logging
   std::uint64_t trace_every = 0;    // 0 = tracing off
-  cluster::DataPlane data_plane = cluster::DataPlane::kEpoll;
   bool help = false;
 };
 
@@ -44,21 +46,17 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: tecrouter --port N --backends P1,P2,... [--vnodes N]\n"
-      "                 [--pool N] [--deadline-ms X] [--hedge-ms X]\n"
-      "                 [--health-interval S] [--data-plane P]\n"
-      "                 [--metrics-interval S] [--trace-every N]\n"
+      "                 [--deadline-ms X] [--hedge-ms X]\n"
+      "                 [--health-interval S] [--metrics-interval S]\n"
+      "                 [--trace-every N]\n"
       "  --port N           client-facing loopback port (0 = ephemeral)\n"
       "  --backends P1,P2   comma-separated tecfand ports (the fleet)\n"
       "  --vnodes N         virtual nodes per backend on the hash ring (64)\n"
-      "  --pool N           pooled connections per backend (8)\n"
       "  --deadline-ms X    per-forward deadline when the client sends none\n"
       "                     (0 = none; timeouts fail over to the replica)\n"
       "  --hedge-ms X       hedged retry delay: -1 off (default), 0 = derive\n"
       "                     from observed e2e p99, >0 fixed delay in ms\n"
       "  --health-interval S  backend ping period in seconds (0.1)\n"
-      "  --data-plane P     forwarding engine: epoll (default, event loop\n"
-      "                     with backend pipelining) or threads (legacy\n"
-      "                     thread-per-session oracle)\n"
       "  --metrics-interval S  log a metrics summary (counters, per-stage\n"
       "                     percentiles, runtime gauges) to stderr every\n"
       "                     S seconds (0 = off)\n"
@@ -100,82 +98,42 @@ void log_metrics(const cluster::Router& router) {
   std::fflush(stderr);
 }
 
-bool parse_ports(const std::string& list, std::vector<std::uint16_t>& out) {
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    const std::size_t comma = list.find(',', start);
-    const std::string tok =
-        list.substr(start, comma == std::string::npos ? std::string::npos
-                                                      : comma - start);
-    if (tok.empty() ||
-        tok.find_first_not_of("0123456789") != std::string::npos) {
-      return false;  // reject host:port specs instead of atoi-truncating
-    }
-    const int p = std::atoi(tok.c_str());
-    if (p <= 0 || p > 65535) return false;
-    out.push_back(static_cast<std::uint16_t>(p));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return !out.empty();
-}
-
 bool parse(int argc, char** argv, Args& out) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&](int& i) -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (a == "--port") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.port = std::atoi(v);
-    } else if (a == "--backends") {
-      const char* v = next(i);
-      if (!v || !parse_ports(v, out.backends)) return false;
-    } else if (a == "--vnodes") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.vnodes = static_cast<std::size_t>(std::atoi(v));
-    } else if (a == "--pool") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.pool = static_cast<std::size_t>(std::atoi(v));
-    } else if (a == "--deadline-ms") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.deadline_ms = std::atof(v);
-    } else if (a == "--hedge-ms") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.hedge_ms = std::atof(v);
-    } else if (a == "--health-interval") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.health_interval_s = std::atof(v);
-    } else if (a == "--metrics-interval") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.metrics_interval_s = std::atof(v);
-    } else if (a == "--trace-every") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.trace_every = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (a == "--data-plane") {
-      const char* v = next(i);
-      if (!v) return false;
-      if (std::string(v) == "epoll") {
-        out.data_plane = cluster::DataPlane::kEpoll;
-      } else if (std::string(v) == "threads") {
-        out.data_plane = cluster::DataPlane::kThreads;
-      } else {
-        std::fprintf(stderr, "unknown --data-plane: %s\n", v);
-        return false;
-      }
-    } else if (a == "--help" || a == "-h") {
+    if (a == "--help" || a == "-h") {
       out.help = true;
+      continue;
+    }
+    // Every other flag takes a value; a missing one parses as "".
+    const std::string_view v = i + 1 < argc ? argv[++i] : "";
+    std::uint16_t port = 0;
+    bool ok;
+    if (a == "--port") {
+      ok = cli::parse_port(v, port, /*allow_ephemeral=*/true);
+      if (ok) out.port = port;
+    } else if (a == "--backends") {
+      ok = cli::parse_ports(v, out.backends);
+    } else if (a == "--vnodes") {
+      ok = cli::parse_number(v, out.vnodes, 1, 1 << 16);
+    } else if (a == "--deadline-ms") {
+      ok = cli::parse_number(v, out.deadline_ms, 0.0, 1e9);
+    } else if (a == "--hedge-ms") {
+      ok = cli::parse_number(v, out.hedge_ms, -1.0, 1e9);
+    } else if (a == "--health-interval") {
+      ok = cli::parse_number(v, out.health_interval_s, 1e-6, 1e6);
+    } else if (a == "--metrics-interval") {
+      ok = cli::parse_number(v, out.metrics_interval_s, 0.0, 1e6);
+    } else if (a == "--trace-every") {
+      ok = cli::parse_number(v, out.trace_every, 0,
+                             std::numeric_limits<std::uint64_t>::max());
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "invalid value for %s: '%.*s'\n", a.c_str(),
+                   static_cast<int>(v.size()), v.data());
       return false;
     }
   }
@@ -190,14 +148,9 @@ int main(int argc, char** argv) {
     usage();
     return args.help ? 0 : 2;
   }
-  if (args.port < 0 || args.backends.empty()) {
+  if (!args.port || args.backends.empty()) {
     std::fprintf(stderr, "error: --port and --backends are required\n");
     usage();
-    return 2;
-  }
-  if (args.vnodes == 0 || args.pool == 0 || args.health_interval_s <= 0) {
-    std::fprintf(stderr,
-                 "error: --vnodes/--pool/--health-interval must be > 0\n");
     return 2;
   }
 
@@ -208,11 +161,9 @@ int main(int argc, char** argv) {
   cluster::RouterOptions options;
   options.backend_ports = args.backends;
   options.virtual_nodes = args.vnodes;
-  options.pool_size = args.pool;
   options.backend_deadline_ms = args.deadline_ms;
   options.hedge_ms = args.hedge_ms;
   options.health.interval_s = args.health_interval_s;
-  options.data_plane = args.data_plane;
   options.trace_every = args.trace_every;
   cluster::Router router(options);
 
@@ -235,8 +186,7 @@ int main(int argc, char** argv) {
     });
   }
 
-  const std::uint16_t port =
-      router.bind_listen(static_cast<std::uint16_t>(args.port));
+  const std::uint16_t port = router.bind_listen(*args.port);
   std::string fleet;
   for (const std::uint16_t p : args.backends) {
     if (!fleet.empty()) fleet += ',';
@@ -244,13 +194,11 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr,
                "tecrouter: listening on 127.0.0.1:%u, fleet [%s] "
-               "(%zu vnodes/backend, hedge %s, %s data plane)\n",
+               "(%zu vnodes/backend, hedge %s)\n",
                port, fleet.c_str(), args.vnodes,
                args.hedge_ms < 0    ? "off"
                : args.hedge_ms == 0 ? "auto-p99"
-                                    : "fixed",
-               args.data_plane == cluster::DataPlane::kEpoll ? "epoll"
-                                                             : "threads");
+                                    : "fixed");
   std::fflush(stderr);
   router.serve();
   stop_metrics.store(true);
