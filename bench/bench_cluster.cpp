@@ -186,19 +186,13 @@ PathNumbers drive(std::uint16_t port, const std::vector<std::string>& lines,
 
 /// An in-process fleet member with its accept loop running.
 struct Backend {
-  Backend() : server(std::make_unique<service::Server>(backend_options())) {
-    port = server->bind_listen(0);
-    thread = std::thread([this] { server->serve(); });
-  }
-  ~Backend() { kill(); }
-  void kill() {
-    if (server) server->stop();
-    if (thread.joinable()) thread.join();
-    server.reset();
-  }
+  Backend()
+      : server(std::make_unique<service::Server>(backend_options())),
+        port(server->start()) {}
+  /// Stop and destroy the server (the fleet member dies).
+  void kill() { server.reset(); }
   std::unique_ptr<service::Server> server;
   std::uint16_t port = 0;
-  std::thread thread;
 };
 
 struct Scenario {
@@ -222,14 +216,12 @@ Scenario run_scenario(std::size_t n_backends, int client_threads,
     fleet.push_back(std::make_unique<Backend>());
 
   std::unique_ptr<cluster::Router> router;
-  std::thread router_thread;
   std::uint16_t port = fleet[0]->port;
   if (n_backends > 0) {
     cluster::RouterOptions opts;
     for (const auto& b : fleet) opts.backend_ports.push_back(b->port);
     router = std::make_unique<cluster::Router>(opts);
-    port = router->bind_listen(0);
-    router_thread = std::thread([&router] { router->serve(); });
+    port = router->start();
   }
 
   // Miss path first (one grid pass: the cache is always far behind the
@@ -244,11 +236,6 @@ Scenario run_scenario(std::size_t n_backends, int client_threads,
     const PathNumbers p =
         drive(port, corpus.cached, client_threads, duration_s);
     if (p.rps > out.cached.rps) out.cached = p;
-  }
-
-  if (router) {
-    router->stop();
-    router_thread.join();
   }
   return out;
 }
@@ -273,8 +260,7 @@ FailoverNumbers run_failover(int client_threads, double duration_s,
   opts.backend_ports = {fleet[0]->port, fleet[1]->port};
   opts.health.interval_s = 0.05;
   cluster::Router router(opts);
-  const std::uint16_t port = router.bind_listen(0);
-  std::thread serving([&router] { router.serve(); });
+  const std::uint16_t port = router.start();
 
   (void)drive(port, cached_lines, 1, 0.0);  // warm both shards
 
@@ -290,8 +276,6 @@ FailoverNumbers run_failover(int client_threads, double duration_s,
   out.errors = path.errors;
   out.failovers = router.stats().failovers;
   out.backends_up_after = router.health().up_count();
-  router.stop();
-  serving.join();
   return out;
 }
 
@@ -319,8 +303,7 @@ TraceNumbers run_traced(std::uint64_t trace_every,
   opts.backend_ports = {fleet[0]->port, fleet[1]->port};
   opts.trace_every = trace_every;
   cluster::Router router(opts);
-  const std::uint16_t port = router.bind_listen(0);
-  std::thread serving([&router] { router.serve(); });
+  const std::uint16_t port = router.start();
   const PathNumbers path = drive(port, lines, 4, /*duration_s=*/0.0);
   out.requests = path.requests;
   out.router_sampled = router.tracer().sampled_traces();
@@ -328,8 +311,6 @@ TraceNumbers run_traced(std::uint64_t trace_every,
     out.server_adopted += b->server->tracer().adopted_traces();
     out.server_sampled += b->server->tracer().sampled_traces();
   }
-  router.stop();
-  serving.join();
   return out;
 }
 
@@ -341,8 +322,7 @@ bool check_bit_identical(const std::vector<std::string>& lines) {
   cluster::RouterOptions opts;
   opts.backend_ports = {b0.port, b1.port};
   cluster::Router router(opts);
-  const std::uint16_t port = router.bind_listen(0);
-  std::thread serving([&router] { router.serve(); });
+  const std::uint16_t port = router.start();
   service::Server direct(backend_options());
   bool identical = true;
   {
@@ -360,8 +340,6 @@ bool check_bit_identical(const std::vector<std::string>& lines) {
       }
     }
   }
-  router.stop();
-  serving.join();
   return identical;
 }
 

@@ -9,7 +9,8 @@
 # death; EventLoop/RouterPipeline/DataPlaneEquivalence drive the router's
 # data plane from concurrent pipelined clients, backend death
 # mid-pipeline included; HealthMonitor probes real and scripted backends
-# with one dial each).
+# with one dial each; ServerLifecycle and RouterLifecycle race stop()
+# against both daemons' serve loops).
 # The Chaos suite also runs under TSan: seeded fault-injection storms
 # (refusals, blackholes, mid-line disconnects, short writes, corrupted and
 # truncated replies, latency spikes with hedging, fully sampled traced
@@ -44,7 +45,7 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
     chaos_test
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-tsan --output-on-failure \
-    -R 'SharedOperator|SharedEngine|SharedControlEngine|Protocol|ResultCache|TaskQueue|WorkerPool|Server|BackendEquivalence|Metrics|ShardMap|HealthMonitor|ClusterSmoke|EventLoop|RouterPipeline|DataPlaneEquivalence|LineReader|WriteQueue|FaultInjector|Chaos|Trace'
+    -R 'SharedOperator|SharedEngine|SharedControlEngine|Protocol|ResultCache|TaskQueue|WorkerPool|Server|BackendEquivalence|Metrics|ShardMap|HealthMonitor|ClusterSmoke|EventLoop|RouterPipeline|RouterLifecycle|DataPlaneEquivalence|LineReader|WriteQueue|FaultInjector|Chaos|Trace'
 fi
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
@@ -55,5 +56,5 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
     util_test cluster_test chaos_test
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-    -R 'ControlEngine|ChipPlanningModel|PolicyEquivalence|TecFan|Oracle|Oftec|Reactive|DynamicFan|Protocol|Server|Sweep|LineReader|WriteQueue|FaultInjector|Trace|Metrics|ClusterSmoke|RouterPipeline|HealthMonitor|EventLoop|Chaos'
+    -R 'ControlEngine|ChipPlanningModel|PolicyEquivalence|TecFan|Oracle|Oftec|Reactive|DynamicFan|Protocol|Server|Sweep|LineReader|WriteQueue|FaultInjector|Trace|Metrics|ClusterSmoke|RouterPipeline|RouterLifecycle|HealthMonitor|EventLoop|Chaos'
 fi

@@ -64,7 +64,7 @@ void EpollPlane::run() {
   loop_.run();
 
   // Teardown: the plane owns every session and pipe fd (the listen fd
-  // stays with the Router). In-flight requests die with their sessions.
+  // stays with the daemon shell). In-flight requests die with their sessions.
   loop_.remove_fd(listen_fd_);
   for (auto& [id, session] : sessions_) {
     loop_.remove_fd(session.fd);
@@ -99,7 +99,7 @@ void EpollPlane::on_accept(std::uint32_t) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       // EAGAIN: batch drained. Anything else (listening socket shut down
-      // by Router::stop()) is handled by the pending loop stop.
+      // by stop()) is handled by the pending loop stop.
       return;
     }
     service::set_nonblocking(fd);

@@ -63,8 +63,9 @@ class Router;
 
 class EpollPlane {
  public:
-  /// `listen_fd` is Router's bound listening socket (not owned; the plane
-  /// switches it to O_NONBLOCK for its accept loop).
+  /// `listen_fd` is the daemon shell's bound listening socket (not owned;
+  /// the plane switches it to O_NONBLOCK for its accept loop). One plane
+  /// serves one Router::serve_loop() call.
   EpollPlane(Router& router, int listen_fd);
   ~EpollPlane();
 
@@ -74,7 +75,9 @@ class EpollPlane {
   /// Event loop; returns after request_stop(). Single-threaded.
   void run();
 
-  /// Thread-safe: wake the loop and make run() return.
+  /// Thread-safe: wake the loop and make run() return. The Router
+  /// registers it as the shell's wake; before run() it makes run() return
+  /// at once.
   void request_stop();
 
  private:

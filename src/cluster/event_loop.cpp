@@ -103,7 +103,6 @@ int EventLoop::next_timeout_ms() const {
 }
 
 void EventLoop::run() {
-  stop_requested_.store(false, std::memory_order_relaxed);
   std::vector<epoll_event> events(64);
   while (!stop_requested_.load(std::memory_order_relaxed)) {
     fire_due_timers();

@@ -69,11 +69,12 @@ class EventLoop {
     stats_dispatch_batch_ = dispatch_batch;
   }
 
-  /// Process events until stop(). Must run on one thread.
+  /// Process events until stop(). Must run on one thread, once.
   void run();
 
   /// Thread-safe: wake the loop and make run() return after the current
-  /// iteration.
+  /// iteration. A stop() before run() makes run() return at once, so a
+  /// stop that races the loop's start is never lost.
   void stop();
 
  private:

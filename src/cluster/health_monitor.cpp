@@ -24,9 +24,7 @@ Clock::duration seconds_to_duration(double s) {
 
 HealthMonitor::HealthMonitor(std::vector<std::uint16_t> ports,
                              Options options)
-    : ports_(std::move(ports)),
-      options_(options),
-      jitter_state_(options.jitter_seed | 1) {
+    : ports_(std::move(ports)), options_(options) {
   TECFAN_REQUIRE(!ports_.empty(), "HealthMonitor needs backends");
   TECFAN_REQUIRE(options_.down_after >= 1, "down_after must be >= 1");
   state_.reserve(ports_.size());

@@ -47,7 +47,6 @@ class HealthMonitor {
     double ping_timeout_ms = 250.0;
     double backoff_base_s = 0.1; // first retry delay once down
     double backoff_max_s = 2.0;
-    std::uint64_t jitter_seed = 0x7ec5eed;  // deterministic jitter stream
   };
 
   /// Monitors the backends listening on the given loopback ports. All
@@ -140,7 +139,9 @@ class HealthMonitor {
   std::uint64_t probe_requested_ = 0;
   std::uint64_t probe_completed_ = 0;
   std::thread thread_;
-  std::uint64_t jitter_state_;
+  /// Seed of the deterministic jitter stream (see jitter_fraction()).
+  static constexpr std::uint64_t kJitterSeed = 0x7ec5eed;
+  std::uint64_t jitter_state_ = kJitterSeed | 1;
 };
 
 }  // namespace tecfan::cluster

@@ -1,20 +1,9 @@
 #include "cluster/router.h"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 
 #include "cluster/epoll_plane.h"
-#include "service/framing.h"
 #include "util/error.h"
-
-// Build identification for the `stats` verb (git describe at configure
-// time; see src/cluster/CMakeLists.txt). Matches the tecfand field so
-// operators can check a whole deployment runs one build.
-#ifndef TECFAN_BUILD_INFO
-#define TECFAN_BUILD_INFO "unknown"
-#endif
 
 namespace tecfan::cluster {
 namespace {
@@ -27,7 +16,8 @@ using service::Response;
 }  // namespace
 
 Router::Router(RouterOptions options)
-    : options_(std::move(options)),
+    : Daemon("tecrouter", TraceTier::kRouter, options.trace_every),
+      options_(std::move(options)),
       shards_(options_.backend_ports.size(), options_.virtual_nodes),
       hist_route_(&metrics_.histogram("route")),
       hist_backend_wait_(&metrics_.histogram("backend_wait")),
@@ -45,11 +35,9 @@ Router::Router(RouterOptions options)
       counter_pipe_stalls_(&metrics_.counter("pipe_stalls")),
       gauge_pending_(&metrics_.gauge("pending_requests")),
       gauge_inflight_(&metrics_.gauge("backend_inflight")),
-      gauge_writeq_highwater_(&metrics_.gauge("writeq_highwater_bytes")),
-      gauge_trace_open_spans_(&metrics_.gauge("trace_open_spans")) {
+      gauge_writeq_highwater_(&metrics_.gauge("writeq_highwater_bytes")) {
   TECFAN_REQUIRE(!options_.backend_ports.empty(),
                  "Router needs at least one backend port");
-  tracer_.set_sample_every(options_.trace_every);
   gauge_backend_inflight_.reserve(options_.backend_ports.size());
   for (std::size_t b = 0; b < options_.backend_ports.size(); ++b)
     gauge_backend_inflight_.push_back(
@@ -60,7 +48,7 @@ Router::Router(RouterOptions options)
     hedge_delay_us_.store(options_.hedge_ms * 1e3,
                           std::memory_order_relaxed);
   else if (options_.hedge_ms == 0)
-    hedge_delay_us_.store(options_.hedge_ceil_ms * 1e3,
+    hedge_delay_us_.store(kHedgeCeilMs * 1e3,
                           std::memory_order_relaxed);
   health_->start();
 }
@@ -78,20 +66,12 @@ void Router::refresh_hedge_delay() {
   const LatencyHistogram::Snapshot snap = hist_e2e_miss_->snapshot();
   if (snap.count < 32) return;  // keep the conservative ceiling
   const double p99_us = snap.percentile(99.0);
-  const double clamped = std::clamp(p99_us, options_.hedge_floor_ms * 1e3,
-                                    options_.hedge_ceil_ms * 1e3);
+  const double clamped =
+      std::clamp(p99_us, kHedgeFloorMs * 1e3, kHedgeCeilMs * 1e3);
   hedge_delay_us_.store(clamped, std::memory_order_relaxed);
 }
 
-std::string Router::stats_response_line() const {
-  Response r;
-  r.add("name", std::string("tecrouter"));
-  r.add("pid", static_cast<std::uint64_t>(::getpid()));
-  // Same build/uptime fields as tecfand's stats verb, so one fleet-wide
-  // `stats` sweep answers "which build, up how long" for every process.
-  r.add("build", std::string(TECFAN_BUILD_INFO));
-  r.add("uptime_s",
-        std::chrono::duration<double>(Clock::now() - started_at_).count());
+void Router::add_stats(Response& r) const {
   const Stats s = stats();
   r.add("backends", static_cast<std::uint64_t>(s.backends));
   r.add("backends_up", static_cast<std::uint64_t>(s.backends_up));
@@ -107,8 +87,6 @@ std::string Router::stats_response_line() const {
   r.add("pipe_stalls", s.pipe_stalls);
   r.add("pending", s.pending);
   r.add("backend_inflight", s.backend_inflight);
-  r.add("traces_sampled", tracer_.sampled_traces());
-  r.add("traces_adopted", tracer_.adopted_traces());
   r.add("hedge_delay_us", current_hedge_delay_us());
   for (std::size_t b = 0; b < options_.backend_ports.size(); ++b) {
     const std::string prefix = "backend" + std::to_string(b) + "_";
@@ -122,7 +100,6 @@ std::string Router::stats_response_line() const {
     r.add(prefix + "stale_probes", h.stale_probes);
     r.add(prefix + "rtt_us", h.last_rtt_us);
   }
-  return serialize_response(r);
 }
 
 std::optional<std::string> Router::handle_local(const std::string& line,
@@ -139,35 +116,10 @@ std::optional<std::string> Router::handle_local(const std::string& line,
   const Request& request = parsed->request;
   if (request.is_compute()) return std::nullopt;
 
+  // Local verbs (`metrics prom` included) never cross a backend pipe.
   counter_local_->inc();
-  switch (request.kind) {
-    case RequestKind::kPing: {
-      Response r;
-      r.add("pong", std::string("1"));
-      return serialize_response(r);
-    }
-    case RequestKind::kQuit: {
-      if (quit) *quit = true;
-      Response r;
-      r.add("bye", std::string("1"));
-      return serialize_response(r);
-    }
-    case RequestKind::kStats:
-      return stats_response_line();
-    case RequestKind::kTrace:
-      return trace_response_line(parsed->request.trace_limit);
-    case RequestKind::kMetrics:
-      // `metrics prom` is the protocol's one multi-line response (raw
-      // Prometheus exposition ending in "# EOF"); both it and the plain
-      // verb are answered locally and never cross a backend pipe.
-      if (request.format == "prom") return prom_exposition();
-      return serialize_response(
-          service::metrics_to_response(metrics_snapshot()));
-    default:
-      break;
-  }
-  counter_errors_->inc();
-  return serialize_response(Response::make_error("unhandled verb"));
+  if (quit) *quit = request.kind == RequestKind::kQuit;
+  return local_reply(request);
 }
 
 void Router::finish_compute(const std::string& reply, const TraceContext& ctx,
@@ -256,88 +208,24 @@ Router::Stats Router::stats() const {
   return s;
 }
 
-MetricsRegistry::Snapshot Router::metrics_snapshot() const {
+void Router::refresh_gauges() const {
   gauge_pending_->set(
       static_cast<double>(pending_gauge_.load(std::memory_order_relaxed)));
   gauge_inflight_->set(
       static_cast<double>(inflight_gauge_.load(std::memory_order_relaxed)));
   gauge_writeq_highwater_->set(static_cast<double>(
       writeq_highwater_.load(std::memory_order_relaxed)));
-  gauge_trace_open_spans_->set(static_cast<double>(tracer_.open_spans()));
-  return metrics_.snapshot();
 }
 
-std::string Router::trace_response_line(int limit) const {
-  const std::vector<CompletedTrace> traces =
-      tracer_.completed_traces(static_cast<std::size_t>(limit));
-  Response r;
-  r.add("traces", static_cast<std::uint64_t>(traces.size()));
-  // One JSON object per trace in numbered fields, same shape as tecfand's
-  // trace verb; for routed sampled requests each object already contains
-  // the ingested backend spans, so this single response carries the whole
-  // cross-tier tree.
-  for (std::size_t i = 0; i < traces.size(); ++i)
-    r.add("t" + std::to_string(i), trace_to_json(traces[i]));
-  return serialize_response(r);
-}
-
-std::string Router::prom_exposition() const {
-  std::string body = render_prometheus(metrics_snapshot());
-  if (!body.empty() && body.back() == '\n') body.pop_back();
-  return body;
-}
-
-std::uint16_t Router::bind_listen(std::uint16_t port) {
-  TECFAN_REQUIRE(listen_fd_.load() < 0, "already listening");
-  const service::Listener listener = service::listen_loopback(port);
-  listen_fd_.store(listener.fd);
-  bound_port_.store(listener.port);
-  return listener.port;
-}
-
-void Router::serve() {
-  const int listen_fd = listen_fd_.load();
-  if (listen_fd < 0) {
-    // stop() may win the race against a serve() thread that was just
-    // launched; that is a clean no-op, not a programming error.
-    TECFAN_REQUIRE(stopping_.load(), "call bind_listen() before serve()");
-    return;
-  }
+void Router::serve_loop(int listen_fd) {
   EpollPlane plane(*this, listen_fd);
-  {
-    std::lock_guard<std::mutex> lock(serve_mu_);
-    if (stopping_.load()) return;  // stop() already reclaimed the socket
-    serve_running_ = true;
-    plane_ = &plane;
-  }
+  set_wake([&plane] { plane.request_stop(); });
   plane.run();
-  {
-    std::lock_guard<std::mutex> lock(serve_mu_);
-    serve_running_ = false;
-    plane_ = nullptr;
-  }
-  serve_cv_.notify_all();
+  set_wake(nullptr);  // before the plane it wakes is destroyed
 }
 
-void Router::stop() {
-  int listen_fd;
-  {
-    // Same handshake as service::Server::stop(): stopping_ flips under
-    // serve_mu_ so a racing serve() either sees it and returns or
-    // registers serve_running_ first and is woken by the shutdown().
-    std::lock_guard<std::mutex> lock(serve_mu_);
-    stopping_.store(true);
-    listen_fd = listen_fd_.exchange(-1);
-    if (plane_) plane_->request_stop();  // wake the plane's loop
-  }
-  if (listen_fd >= 0) {
-    ::shutdown(listen_fd, SHUT_RDWR);
-    {
-      std::unique_lock<std::mutex> lock(serve_mu_);
-      serve_cv_.wait(lock, [this] { return !serve_running_; });
-    }
-    ::close(listen_fd);
-  }
+void Router::stop_sessions() {
+  // The plane closed its sessions and pipes on the way out of run().
   if (health_) health_->stop();
 }
 

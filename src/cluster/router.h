@@ -4,10 +4,10 @@
 // as they would to a single tecfand; the router speaks the same protocol
 // to its backends. Per request line:
 //
-//   * control verbs (ping/stats/metrics/quit) are answered locally —
-//     `stats` reports fleet topology and health, `metrics` dumps the
-//     router's own per-stage histograms (route / backend_wait / e2e) in
-//     the same wire format as a backend;
+//   * local verbs (ping/stats/metrics/trace/quit) are answered by the
+//     router itself — `stats` reports fleet topology and health, `metrics`
+//     dumps the router's own per-stage histograms (route / backend_wait /
+//     e2e) in the same wire format as a backend;
 //   * compute verbs (equilibrium/run/sweep/table1) are routed by the
 //     canonical cache key through the ShardMap ring, so each backend's
 //     ResultCache sees a disjoint, stable slice of the key space and
@@ -24,29 +24,29 @@
 //
 // Responses are forwarded verbatim (bit-identical to direct serving);
 // only router-generated errors (`no backend available`, parse errors) are
-// produced locally. serve() runs the one data plane, EpollPlane (see
-// epoll_plane.h): a single event-loop thread with nonblocking client
-// sessions and one pipelined connection per backend. The Router owns the
-// state that outlives a serve() call — ring, health monitor, counters,
-// histograms, tracer — and the plane reads it as a friend.
+// produced locally. The listener lifecycle and the local verbs come from
+// the daemon shell tecfand shares (service/daemon.h); the shell's serve()
+// runs the one data plane, EpollPlane (see epoll_plane.h): a single
+// event-loop thread with nonblocking client sessions and one pipelined
+// connection per backend. The Router owns the state that outlives a
+// serve() call — ring, health monitor, counters, histograms — and the
+// plane reads it as a friend.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "cluster/health_monitor.h"
 #include "cluster/shard_map.h"
+#include "service/daemon.h"
 #include "service/request.h"
 #include "util/metrics.h"
-#include "util/trace.h"
 
 namespace tecfan::cluster {
 
@@ -62,11 +62,9 @@ struct RouterOptions {
   /// over.)
   double backend_deadline_ms = 0.0;
   /// Hedged retry: <0 disables; 0 derives the delay from the router's
-  /// observed e2e p99 (clamped to [hedge_floor_ms, hedge_ceil_ms]); >0 is
-  /// a fixed delay in ms.
+  /// observed e2e p99 (clamped to [Router::kHedgeFloorMs,
+  /// Router::kHedgeCeilMs]); >0 is a fixed delay in ms.
   double hedge_ms = -1.0;
-  double hedge_floor_ms = 1.0;
-  double hedge_ceil_ms = 200.0;
   /// Bound on every backend pipe dial: a nonblocking connect() with this
   /// deadline, so a SYN-blackholed backend costs milliseconds, not the
   /// kernel's SYN-retry default. (Health probes are bounded by
@@ -93,24 +91,14 @@ struct RouterOptions {
   HealthMonitor::Options health;
 };
 
-class Router {
+class Router : public service::Daemon {
  public:
+  /// Bounds on the auto-mode (hedge_ms == 0) hedge delay, in ms.
+  static constexpr double kHedgeFloorMs = 1.0;
+  static constexpr double kHedgeCeilMs = 200.0;
+
   explicit Router(RouterOptions options);
-  ~Router();
-
-  Router(const Router&) = delete;
-  Router& operator=(const Router&) = delete;
-
-  /// Bind a loopback listening socket; port 0 picks an ephemeral port.
-  std::uint16_t bind_listen(std::uint16_t port);
-
-  /// Serve accepted connections on the epoll data plane until stop().
-  void serve();
-
-  /// Stop the accept loop, open connections, and the health monitor.
-  void stop();
-
-  std::uint16_t bound_port() const { return bound_port_.load(); }
+  ~Router() override;
 
   const ShardMap& shards() const { return shards_; }
   HealthMonitor& health() { return *health_; }
@@ -119,7 +107,7 @@ class Router {
   struct Stats {
     std::uint64_t requests = 0;    // request lines accepted (any kind)
     std::uint64_t routed = 0;      // compute forwards attempted
-    std::uint64_t local = 0;       // control verbs answered locally
+    std::uint64_t local = 0;       // local verbs answered here
     std::uint64_t failovers = 0;   // forwards retried on another backend
     std::uint64_t hedges = 0;      // hedge requests actually sent
     std::uint64_t hedge_wins = 0;  // hedges whose reply arrived first
@@ -134,28 +122,6 @@ class Router {
   };
   Stats stats() const;
 
-  /// Cluster per-stage telemetry (microseconds):
-  ///   route        — parse + canonical key + ring/health backend choice
-  ///   backend_wait — forward send to reply line complete (per attempt)
-  ///   e2e_hit      — request line read to reply ready, `ok cached=1`
-  ///   e2e_miss     — request line read to reply ready, computed `ok`
-  /// plus the event-loop health instruments:
-  ///   loop_iteration      — active portion of each event-loop iteration
-  ///   loop_dispatch_batch — ready events per nonempty epoll_wait batch
-  const MetricsRegistry& metrics() const { return metrics_; }
-
-  /// One coherent dump: refresh the runtime health gauges (pending
-  /// requests, backend-pipe inflight totals, WriteQueue high-water, open
-  /// trace spans) and capture every instrument under a single registry
-  /// lock hold. All dump paths — the `metrics` verb, `metrics prom`, and
-  /// the periodic stderr logger — render from one of these.
-  MetricsRegistry::Snapshot metrics_snapshot() const;
-
-  /// Span recorder for this tier (tecrouter); the `trace` verb dumps its
-  /// completed traces, backend spans included.
-  const Tracer& tracer() const { return tracer_; }
-  Tracer& tracer() { return tracer_; }
-
   /// The hedge delay a compute forward would use right now (us); 0 when
   /// hedging is disabled. Exposed for tests and the stats verb.
   double current_hedge_delay_us() const;
@@ -164,8 +130,8 @@ class Router {
   friend class EpollPlane;  // the data plane shares routing state,
                             // counters, and histograms
 
-  /// Count the line, parse it, and answer control verbs and parse errors
-  /// locally. Returns the response line for those, nullopt for a compute
+  /// Count the line, parse it, and answer local verbs and parse errors
+  /// here. Returns the response line for those, nullopt for a compute
   /// request (with *parsed filled in for the caller to route).
   std::optional<std::string> handle_local(const std::string& line,
                                           service::ParsedRequest* parsed,
@@ -182,9 +148,10 @@ class Router {
                             const std::string& reply,
                             std::chrono::steady_clock::time_point sent_at);
 
-  std::string stats_response_line() const;
-  std::string trace_response_line(int limit) const;
-  std::string prom_exposition() const;
+  void serve_loop(int listen_fd) override;
+  void stop_sessions() override;
+  void refresh_gauges() const override;
+  void add_stats(service::Response& r) const override;
   void refresh_hedge_delay();
 
   /// High-water tracking for the data plane's per-socket WriteQueues
@@ -200,7 +167,14 @@ class Router {
   ShardMap shards_;
   std::unique_ptr<HealthMonitor> health_;
 
-  MetricsRegistry metrics_;
+  // Cluster per-stage telemetry in the shell's registry (microseconds):
+  //   route        — parse + canonical key + ring/health backend choice
+  //   backend_wait — forward send to reply line complete (per attempt)
+  //   e2e_hit      — request line read to reply ready, `ok cached=1`
+  //   e2e_miss     — request line read to reply ready, computed `ok`
+  // plus the event-loop health instruments:
+  //   loop_iteration      — active portion of each event-loop iteration
+  //   loop_dispatch_batch — ready events per nonempty epoll_wait batch
   LatencyHistogram* hist_route_;
   LatencyHistogram* hist_backend_wait_;
   LatencyHistogram* hist_e2e_hit_;
@@ -225,9 +199,7 @@ class Router {
   Gauge* gauge_pending_;
   Gauge* gauge_inflight_;
   Gauge* gauge_writeq_highwater_;
-  Gauge* gauge_trace_open_spans_;
   std::vector<Gauge*> gauge_backend_inflight_;
-  Tracer tracer_{TraceTier::kRouter};
 
   // Maintained by the data plane (single-threaded writer; atomic so
   // stats() can read from any thread).
@@ -241,19 +213,6 @@ class Router {
   static constexpr std::uint64_t kHedgeRefreshPeriod = 256;
   std::atomic<double> hedge_delay_us_{0.0};
   std::atomic<std::uint64_t> hedge_refresh_countdown_{0};
-
-  const std::chrono::steady_clock::time_point started_at_ =
-      std::chrono::steady_clock::now();
-
-  // TCP accept state, same handshake as service::Server.
-  std::atomic<int> listen_fd_{-1};
-  std::atomic<std::uint16_t> bound_port_{0};
-  std::atomic<bool> stopping_{false};
-  std::mutex serve_mu_;
-  std::condition_variable serve_cv_;
-  bool serve_running_ = false;
-  EpollPlane* plane_ = nullptr;  // live while serve() runs; under
-                                 // serve_mu_ so stop() can wake it
 };
 
 }  // namespace tecfan::cluster

@@ -1,6 +1,7 @@
-// Socket framing helpers for the line protocol, shared by the server-side
-// session loops (service::Server), the cluster router and its health
-// probes (src/cluster/), and the tools (loadgen, tecrouter).
+// Socket framing helpers for the line protocol, shared by the daemon
+// shell's listener (service/daemon.h), tecfand's session threads
+// (service::Server), the router's data plane and health probes
+// (src/cluster/), and the tools (loadgen, tracecat, the chaos harness).
 //
 // Everything here is loopback-TCP plumbing for "one request line in, one
 // response line out": listen, connect, send a whole buffer, and
@@ -59,7 +60,8 @@ struct Listener {
 
 /// Bind 127.0.0.1:port (SO_REUSEADDR, so a restarted daemon rebinds its
 /// port through the TIME_WAIT tail) and listen; port 0 picks an ephemeral
-/// port. Throws precondition_error when the socket cannot be bound.
+/// port. Throws precondition_error when the socket cannot be bound. Both
+/// daemons bind through Daemon::bind_listen().
 Listener listen_loopback(std::uint16_t port);
 
 /// Blocking connect to 127.0.0.1:port. Returns the connected fd (with

@@ -410,8 +410,4 @@ Response metrics_to_response(const MetricsRegistry::Snapshot& snapshot) {
   return r;
 }
 
-Response metrics_to_response(const MetricsRegistry& registry) {
-  return metrics_to_response(registry.snapshot());
-}
-
 }  // namespace tecfan::service

@@ -128,14 +128,10 @@ std::string serialize_response(const Response& response);
 /// and the tests; malformed lines come back as kError with a message).
 Response parse_response(std::string_view line);
 
-/// The `metrics` verb's wire form of a registry: per-histogram
+/// The `metrics` verb's wire form of a registry snapshot: per-histogram
 /// count/p50/p90/p99/p999/mean/max plus the non-empty buckets as
-/// `upper_us:count` pairs, then counters and gauges. Shared by the tecfand
-/// Server and the cluster Router so fleet tooling parses one format.
-/// The Snapshot overload renders from one coherent registry walk; every
-/// dump path (verb, periodic stderr log, prom exposition) should take a
-/// single snapshot and render all of its output from it.
+/// `upper_us:count` pairs, then counters and gauges. Both daemons answer
+/// the verb through the daemon shell, so fleet tooling parses one format.
 Response metrics_to_response(const MetricsRegistry::Snapshot& snapshot);
-Response metrics_to_response(const MetricsRegistry& registry);
 
 }  // namespace tecfan::service

@@ -19,13 +19,6 @@
 #include "util/logging.h"
 #include "util/units.h"
 
-// Build identification for the `stats` verb (git describe at configure
-// time; see src/service/CMakeLists.txt). Lets fleet operators and the
-// cluster health monitor tell replicas apart.
-#ifndef TECFAN_BUILD_INFO
-#define TECFAN_BUILD_INFO "unknown"
-#endif
-
 namespace tecfan::service {
 namespace {
 
@@ -51,7 +44,10 @@ std::size_t default_worker_count() {
 }
 
 Server::Server(ServerOptions options)
-    : options_(options),
+    : Daemon(options.instance_name.empty() ? "tecfand"
+                                           : options.instance_name,
+             TraceTier::kServer, options.trace_every),
+      options_(options),
       engine_(sim::make_chip_engine(options.tiles_x, options.tiles_y)),
       cache_(options.cache_capacity),
       hist_parse_(&metrics_.histogram("parse")),
@@ -65,10 +61,7 @@ Server::Server(ServerOptions options)
       counter_computes_(&metrics_.counter("computes")),
       counter_errors_(&metrics_.counter("errors")),
       gauge_pool_queue_depth_(&metrics_.gauge("pool_queue_depth")),
-      gauge_trace_open_spans_(&metrics_.gauge("trace_open_spans")),
-      pool_(options.workers, options.queue_capacity, hist_queue_wait_),
-      started_at_(std::chrono::steady_clock::now()) {
-  tracer_.set_sample_every(options_.trace_every);
+      pool_(options.workers, options.queue_capacity, hist_queue_wait_) {
   gauge_cache_shards_.reserve(cache_.shard_count());
   for (std::size_t i = 0; i < cache_.shard_count(); ++i)
     gauge_cache_shards_.push_back(
@@ -78,51 +71,9 @@ Server::Server(ServerOptions options)
 Server::~Server() { stop(); }
 
 Response Server::handle(const Request& request) {
-  counter_requests_->inc();
-  switch (request.kind) {
-    case RequestKind::kPing: {
-      Response r;
-      r.add("pong", std::string("1"));
-      return r;
-    }
-    case RequestKind::kQuit: {
-      Response r;
-      r.add("bye", std::string("1"));
-      return r;
-    }
-    case RequestKind::kStats:
-      return stats_response();
-    case RequestKind::kMetrics:
-      return metrics_response();
-    case RequestKind::kTrace:
-      return trace_response(request.trace_limit);
-    default:
-      break;
-  }
-
-  const auto probe_start = std::chrono::steady_clock::now();
-  ScopedLatencyTimer probe(hist_cache_probe_, probe_start);
-  const std::string key = canonical_key(request);
-  if (auto hit = cache_.get(key)) {
-    probe.stop();
-    if (request.trace.sampled)
-      tracer_.record(request.trace, SpanName::kCacheProbe, probe_start,
-                     std::chrono::steady_clock::now());
-    Response r = parse_response(*hit);
-    r.cached = true;
-    return r;
-  }
-  probe.stop();
-  if (request.trace.sampled)
-    tracer_.record(request.trace, SpanName::kCacheProbe, probe_start,
-                   std::chrono::steady_clock::now());
-  Response r = execute(request);
-  if (r.status == Response::Status::kOk) {
-    cache_.put(key, serialize_response(r));
-  } else {
-    counter_errors_->inc();
-  }
-  return r;
+  if (!request.is_compute())
+    return Response::make_error("not a compute request");
+  return dispatch(request);
 }
 
 Response Server::dispatch(const Request& request) {
@@ -359,23 +310,13 @@ Response Server::do_table1(sim::ChipSimulator& simulator,
   return r;
 }
 
-Response Server::stats_response() const {
+void Server::add_stats(Response& r) const {
   const Stats s = stats();
-  Response r;
-  // Replica identification first: name/pid/build/backend let the cluster
-  // layer and operators tell otherwise-identical fleet members apart.
-  r.add("name", options_.instance_name.empty() ? std::string("tecfand")
-                                               : options_.instance_name);
-  r.add("pid", static_cast<std::uint64_t>(::getpid()));
-  r.add("build", std::string(TECFAN_BUILD_INFO));
   r.add("solve_backend",
         std::string(engine_->thermal()->banded() ? "banded" : "dense"));
-  r.add("uptime_s", s.uptime_s);
   r.add("requests", s.requests);
   r.add("computes", s.computes);
   r.add("errors", s.errors);
-  r.add("traces_sampled", tracer_.sampled_traces());
-  r.add("traces_adopted", tracer_.adopted_traces());
   r.add("cache_hits", s.cache.hits);
   r.add("cache_misses", s.cache.misses);
   r.add("cache_evictions", s.cache.evictions);
@@ -390,40 +331,14 @@ Response Server::stats_response() const {
   r.add("workers", static_cast<std::uint64_t>(s.pool.workers));
   r.add("engine_bytes", static_cast<std::uint64_t>(s.engine_bytes));
   r.add("workspace_bytes", static_cast<std::uint64_t>(s.workspace_bytes));
-  return r;
 }
 
-MetricsRegistry::Snapshot Server::metrics_snapshot() const {
+void Server::refresh_gauges() const {
   gauge_pool_queue_depth_->set(static_cast<double>(pool_.stats().queued));
-  gauge_trace_open_spans_->set(static_cast<double>(tracer_.open_spans()));
   const std::vector<std::size_t> shard_sizes = cache_.shard_sizes();
   for (std::size_t i = 0;
        i < shard_sizes.size() && i < gauge_cache_shards_.size(); ++i)
     gauge_cache_shards_[i]->set(static_cast<double>(shard_sizes[i]));
-  return metrics_.snapshot();
-}
-
-Response Server::metrics_response() const {
-  return metrics_to_response(metrics_snapshot());
-}
-
-Response Server::trace_response(int limit) const {
-  const auto traces =
-      tracer_.completed_traces(static_cast<std::size_t>(limit));
-  Response r;
-  r.add("traces", static_cast<std::uint64_t>(traces.size()));
-  // One JSON object per trace in numbered fields; values are quoted on
-  // the wire, so the response stays a single protocol line and tools
-  // (tracecat) re-emit the objects as JSON lines.
-  for (std::size_t i = 0; i < traces.size(); ++i)
-    r.add("t" + std::to_string(i), trace_to_json(traces[i]));
-  return r;
-}
-
-std::string Server::prom_exposition() const {
-  std::string body = render_prometheus(metrics_snapshot());
-  if (!body.empty() && body.back() == '\n') body.pop_back();
-  return body;
 }
 
 Server::Stats Server::stats() const {
@@ -435,9 +350,6 @@ Server::Stats Server::stats() const {
   s.pool = pool_.stats();
   s.engine_bytes = engine_->memory_bytes();
   s.workspace_bytes = workspace_bytes_.load(std::memory_order_relaxed);
-  s.uptime_s = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - started_at_)
-                   .count();
   return s;
 }
 
@@ -456,26 +368,19 @@ std::string Server::handle_line(const std::string& line, bool* quit) {
     return serialize_response(Response::make_error(parsed.error));
   }
   Request& request = parsed.request;
-  if (request.kind == RequestKind::kQuit && quit) *quit = true;
-  if (request.kind == RequestKind::kMetrics && request.format == "prom") {
-    // The one multi-line response in the protocol: a raw Prometheus
-    // exposition terminated by "# EOF". Answered inline so it never
-    // crosses a backend pipe.
+  if (!request.is_compute()) {
     counter_requests_->inc();
-    return prom_exposition();
+    if (quit) *quit = request.kind == RequestKind::kQuit;
+    return local_reply(request);
   }
-  if (request.is_compute()) {
-    // Head-of-trace decision (or adoption of the router's context); the
-    // context rides the request into dispatch/execute so every stage can
-    // pin its span. Unsampled requests carry an all-zero context and each
-    // stage pays one branch.
-    request.trace = request.trace.sampled ? tracer_.adopt(request.trace)
-                                          : tracer_.start_trace();
-  }
-  Response response =
-      request.is_compute() ? dispatch(request) : handle(request);
-  if (request.trace.sampled && request.is_compute() &&
-      response.status == Response::Status::kOk) {
+  // Head-of-trace decision (or adoption of the router's context); the
+  // context rides the request into dispatch/execute so every stage can pin
+  // its span. Unsampled requests carry an all-zero context and each stage
+  // pays one branch.
+  request.trace = request.trace.sampled ? tracer_.adopt(request.trace)
+                                        : tracer_.start_trace();
+  Response response = dispatch(request);
+  if (request.trace.sampled && response.status == Response::Status::kOk) {
     // Close this tier's root span, then echo the context and the recorded
     // spans on the reply so the router can fold them into its trace. The
     // fields are appended after the cache write, so cached payloads stay
@@ -494,10 +399,10 @@ std::string Server::handle_line(const std::string& line, bool* quit) {
   if (request.trace.sampled)
     tracer_.record(request.trace, SpanName::kSerialize, serialize_start,
                    line_end);
-  // Hit/miss-split end-to-end span: only successful compute requests, so
+  // Hit/miss-split end-to-end span: only successful requests, so
   // busy/error outcomes (tracked by counters) cannot skew the latency
   // story.
-  if (request.is_compute() && response.status == Response::Status::kOk) {
+  if (response.status == Response::Status::kOk) {
     (response.cached ? hist_e2e_hit_ : hist_e2e_miss_)
         ->record(line_end - line_start);
   }
@@ -514,35 +419,15 @@ void Server::serve_pipe(std::istream& in, std::ostream& out) {
   }
 }
 
-std::uint16_t Server::bind_listen(std::uint16_t port) {
-  TECFAN_REQUIRE(listen_fd_.load() < 0, "already listening");
-  const Listener listener = listen_loopback(port);
-  listen_fd_.store(listener.fd);
-  bound_port_.store(listener.port);
-  return listener.port;
-}
-
-void Server::serve() {
-  const int listen_fd = listen_fd_.load();
-  if (listen_fd < 0) {
-    // stop() may win the race against a serve() thread that was just
-    // launched; that is a clean no-op, not a programming error.
-    TECFAN_REQUIRE(stopping_.load(), "call bind_listen() before serve()");
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(serve_mu_);
-    if (stopping_.load()) return;  // stop() already reclaimed the socket
-    serve_running_ = true;
-  }
+void Server::serve_loop(int listen_fd) {
   for (;;) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
-      if (stopping_.load()) break;
+      if (stopping()) break;
       if (errno == EINTR) continue;
       break;  // listening socket gone
     }
-    if (stopping_.load()) {
+    if (stopping()) {
       ::close(fd);
       break;
     }
@@ -558,7 +443,7 @@ void Server::serve() {
       // off instead of growing the accumulator without limit.
       LineReader reader(fd);
       bool quit = false;
-      while (!quit && !stopping_.load()) {
+      while (!quit && !stopping()) {
         auto line = reader.read_line();
         if (!line) {
           if (reader.overflowed()) {
@@ -592,33 +477,9 @@ void Server::serve() {
       ::close(fd);
     });
   }
-  {
-    std::lock_guard<std::mutex> lock(serve_mu_);
-    serve_running_ = false;
-  }
-  serve_cv_.notify_all();
 }
 
-void Server::stop() {
-  int listen_fd;
-  {
-    // stopping_ flips under serve_mu_ so a serve() thread that has not
-    // yet registered serve_running_ either sees the flag and returns or
-    // registers first and is then woken by the shutdown() below.
-    std::lock_guard<std::mutex> lock(serve_mu_);
-    stopping_.store(true);
-    listen_fd = listen_fd_.exchange(-1);
-  }
-  if (listen_fd >= 0) {
-    // Wake the accept loop, wait for it to leave, then reclaim the fd
-    // (closing while serve() is still inside accept() would race).
-    ::shutdown(listen_fd, SHUT_RDWR);
-    {
-      std::unique_lock<std::mutex> lock(serve_mu_);
-      serve_cv_.wait(lock, [this] { return !serve_running_; });
-    }
-    ::close(listen_fd);
-  }
+void Server::stop_sessions() {
   std::list<Session> sessions;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);

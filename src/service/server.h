@@ -9,20 +9,19 @@
 // ~600x600 factored systems and nothing stateful is ever shared between
 // threads.
 //
-//   * handle() executes one request synchronously (used by worker threads,
-//     tests and the micro-bench),
+//   * handle_line() answers one request line: local verbs through the
+//     daemon shell (service/daemon.h), compute kinds through the result
+//     cache and then the bounded worker pool, so a saturated daemon
+//     answers `busy` instead of queueing unboundedly;
 //   * serve_pipe() is the stdin/stdout daemon mode: one request line in,
-//     one response line out, until `quit` or EOF,
-//   * bind_listen()/serve() is the local TCP mode: one thread per accepted
-//     connection, each running the same line protocol, joined by the
-//     accept loop once its connection closes; compute requests go through
-//     the bounded worker pool, so a saturated daemon answers `busy`
-//     instead of queueing unboundedly.
+//     one response line out, until `quit` or EOF;
+//   * the shell's bind_listen()/serve()/start()/stop() is the local TCP
+//     mode: one thread per accepted connection, each running the same
+//     line protocol, joined by the accept loop once its connection
+//     closes.
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -34,13 +33,13 @@
 #include <thread>
 #include <vector>
 
+#include "service/daemon.h"
 #include "service/request.h"
 #include "service/result_cache.h"
 #include "service/worker_pool.h"
 #include "sim/chip_engine.h"
 #include "sim/chip_simulator.h"
 #include "util/metrics.h"
-#include "util/trace.h"
 
 namespace tecfan::service {
 
@@ -72,16 +71,14 @@ struct ServerOptions {
   std::uint64_t trace_every = 0;
 };
 
-class Server {
+class Server : public Daemon {
  public:
   explicit Server(ServerOptions options = {});
-  ~Server();
+  ~Server() override;
 
-  Server(const Server&) = delete;
-  Server& operator=(const Server&) = delete;
-
-  /// Execute one request to completion on the calling thread (cache
-  /// consulted first; control kinds answered inline).
+  /// Execute one parsed compute request exactly as a served line does:
+  /// the result cache first, then the worker pool (busy / deadline
+  /// answered without computing). Local verbs go through handle_line().
   Response handle(const Request& request);
 
   /// Parse and execute one request line; returns the response line.
@@ -93,20 +90,6 @@ class Server {
   /// worker pool (so deadlines and backpressure behave as in TCP mode).
   void serve_pipe(std::istream& in, std::ostream& out);
 
-  /// Bind a loopback listening socket; port 0 picks an ephemeral port.
-  /// Returns the bound port. Call before serve().
-  std::uint16_t bind_listen(std::uint16_t port);
-
-  /// Accept loop; returns after stop(). One thread per connection; the
-  /// loop joins finished sessions as it accepts new ones, so a long run
-  /// of short connections holds no dead threads.
-  void serve();
-
-  /// Stop the accept loop and open connections, drain the worker pool.
-  void stop();
-
-  std::uint16_t bound_port() const { return bound_port_.load(); }
-
   struct Stats {
     std::uint64_t requests = 0;   // request lines accepted (any kind)
     std::uint64_t computes = 0;   // cache misses actually simulated
@@ -114,7 +97,6 @@ class Server {
                                   // computes and expired deadlines)
     ResultCache::Stats cache;
     WorkerPool::Stats pool;
-    double uptime_s = 0.0;
     /// Shared factored state (one copy regardless of worker count).
     std::size_t engine_bytes = 0;
     /// Largest per-compute workspace observed so far (per worker, not
@@ -125,30 +107,6 @@ class Server {
 
   const ServerOptions& options() const { return options_; }
   const sim::ChipEngine& engine() const { return *engine_; }
-
-  /// Per-stage serving-path telemetry. Histograms (all in microseconds):
-  ///   parse       — request line to parsed request (handle_line)
-  ///   cache_probe — canonical key build + result-cache lookup
-  ///   queue_wait  — worker-pool submit to dequeue (measured by the pool)
-  ///   compute     — workspace construction + simulation + response build
-  ///   serialize   — response struct to wire line
-  ///   e2e_hit     — whole handle_line span of ok cached compute requests
-  ///   e2e_miss    — whole handle_line span of ok computed requests
-  /// The `metrics` protocol verb dumps the same registry over the wire.
-  const MetricsRegistry& metrics() const { return metrics_; }
-
-  /// One coherent dump: refresh the runtime health gauges (worker-pool
-  /// queue depth, per-shard cache occupancy, open trace spans) and then
-  /// capture every instrument under a single registry lock hold. All dump
-  /// paths — the `metrics` verb, `metrics prom`, and the periodic stderr
-  /// logger — render from one of these, never from separate registry
-  /// walks that could interleave.
-  MetricsRegistry::Snapshot metrics_snapshot() const;
-
-  /// Span recorder for this tier (tecfand); the `trace` verb dumps its
-  /// completed traces.
-  const Tracer& tracer() const { return tracer_; }
-  Tracer& tracer() { return tracer_; }
 
  private:
   /// Dispatch a parsed compute request through the worker pool and wait
@@ -161,10 +119,11 @@ class Server {
   Response do_run(sim::ChipSimulator& simulator, const Request& request);
   Response do_sweep(sim::ChipSimulator& simulator, const Request& request);
   Response do_table1(sim::ChipSimulator& simulator, const Request& request);
-  Response stats_response() const;
-  Response metrics_response() const;
-  Response trace_response(int limit) const;
-  std::string prom_exposition() const;
+
+  void serve_loop(int listen_fd) override;
+  void stop_sessions() override;
+  void refresh_gauges() const override;
+  void add_stats(Response& r) const override;
 
   /// Base-scenario anchor (Table I protocol) for a workload, memoized:
   /// peak temperature defines the run/sweep threshold.
@@ -174,9 +133,16 @@ class Server {
   ServerOptions options_;
   sim::ChipEnginePtr engine_;
   ResultCache cache_;
-  // Declared (and so initialized) before pool_: the pool records its
-  // queue-wait span into a histogram owned by this registry.
-  MetricsRegistry metrics_;
+  // Per-stage serving-path telemetry in the shell's registry (all in
+  // microseconds):
+  //   parse       — request line to parsed request (handle_line)
+  //   cache_probe — canonical key build + result-cache lookup
+  //   queue_wait  — worker-pool submit to dequeue (recorded by the pool;
+  //                 the registry outlives it)
+  //   compute     — workspace construction + simulation + response build
+  //   serialize   — compute response struct to wire line
+  //   e2e_hit     — whole handle_line span of ok cached compute requests
+  //   e2e_miss    — whole handle_line span of ok computed requests
   LatencyHistogram* hist_parse_;
   LatencyHistogram* hist_cache_probe_;
   LatencyHistogram* hist_queue_wait_;
@@ -194,16 +160,13 @@ class Server {
   // through a stored pointer is const-safe, so const dump paths refresh
   // them).
   Gauge* gauge_pool_queue_depth_;
-  Gauge* gauge_trace_open_spans_;
   std::vector<Gauge*> gauge_cache_shards_;
-  Tracer tracer_{TraceTier::kServer};
   WorkerPool pool_;
 
   std::mutex base_mu_;
   std::map<std::string, sim::RunResult> base_results_;
 
   std::atomic<std::size_t> workspace_bytes_{0};  // max observed
-  std::chrono::steady_clock::time_point started_at_;
 
   /// One accepted connection and the thread serving it. `fd` is guarded
   /// by conns_mu_; the thread sets it to -1 just before it closes the
@@ -215,16 +178,6 @@ class Server {
   /// Join every session whose thread has finished (accept loop only).
   void reap_finished_sessions();
 
-  // TCP state. listen_fd_ is handed from bind_listen() to serve() and
-  // reclaimed by stop(), which may run on a different thread; the
-  // serve_running_ handshake keeps stop() from closing the socket while
-  // the accept loop still uses it.
-  std::atomic<int> listen_fd_{-1};
-  std::atomic<std::uint16_t> bound_port_{0};
-  std::atomic<bool> stopping_{false};
-  std::mutex serve_mu_;
-  std::condition_variable serve_cv_;
-  bool serve_running_ = false;
   std::mutex conns_mu_;
   std::list<Session> sessions_;  // list: session threads hold references
 };

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <optional>
 #include <sstream>
+#include <thread>
 
 #include "service/framing.h"
 #include "service/request.h"
@@ -101,8 +102,7 @@ ChaosFleet::ChaosFleet(ChaosFleetOptions options)
   for (std::size_t i = 0; i < options_.backends; ++i) {
     Backend b;
     b.server = std::make_unique<service::Server>(options_.server);
-    b.port = b.server->bind_listen(0);
-    b.thread = std::thread([srv = b.server.get()] { srv->serve(); });
+    b.port = b.server->start();
     servers_.push_back(std::move(b));
   }
   reference_ = std::make_unique<service::Server>(options_.server);
@@ -124,8 +124,7 @@ ChaosFleet::ChaosFleet(ChaosFleetOptions options)
   cluster::RouterOptions ro = options_.router;
   ro.backend_ports = ports;
   router_ = std::make_unique<cluster::Router>(std::move(ro));
-  router_port_ = router_->bind_listen(0);
-  router_thread_ = std::thread([this] { router_->serve(); });
+  router_port_ = router_->start();
 }
 
 ChaosFleet::~ChaosFleet() { stop(); }
@@ -134,12 +133,8 @@ void ChaosFleet::stop() {
   if (stopped_) return;
   stopped_ = true;
   router_->stop();
-  if (router_thread_.joinable()) router_thread_.join();
   for (auto& p : proxies_) p->stop();
-  for (auto& b : servers_) {
-    b.server->stop();
-    if (b.thread.joinable()) b.thread.join();
-  }
+  for (auto& b : servers_) b.server->stop();
 }
 
 std::uint16_t ChaosFleet::backend_port(std::size_t i) const {

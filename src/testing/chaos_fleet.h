@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/router.h"
@@ -96,7 +95,6 @@ class ChaosFleet {
   struct Backend {
     std::unique_ptr<service::Server> server;
     std::uint16_t port = 0;
-    std::thread thread;
   };
 
   ChaosFleetOptions options_;
@@ -105,7 +103,6 @@ class ChaosFleet {
   std::unique_ptr<service::Server> reference_;
   std::unique_ptr<cluster::Router> router_;
   std::uint16_t router_port_ = 0;
-  std::thread router_thread_;
   bool stopped_ = false;
 };
 

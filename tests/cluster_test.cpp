@@ -27,6 +27,7 @@
 #include "cluster/health_monitor.h"
 #include "cluster/router.h"
 #include "cluster/shard_map.h"
+#include "daemon_lifecycle.h"
 #include "service/framing.h"
 #include "service/request.h"
 #include "service/server.h"
@@ -140,25 +141,14 @@ service::ServerOptions small_server_options() {
 /// A Server bound to an ephemeral port with its accept loop running.
 struct LiveServer {
   explicit LiveServer(service::ServerOptions options = small_server_options())
-      : server(std::make_unique<service::Server>(options)) {
-    port = server->bind_listen(0);
-    thread = std::thread([this] { server->serve(); });
-  }
-  ~LiveServer() { shutdown(); }
-  void shutdown() {
-    if (server) server->stop();
-    if (thread.joinable()) thread.join();
-  }
+      : server(std::make_unique<service::Server>(options)),
+        port(server->start()) {}
   /// Stop and destroy the server, closing its listening port (the fleet
   /// member "dies"; the port stays free for the failover tests).
-  void kill() {
-    shutdown();
-    server.reset();
-  }
+  void kill() { server.reset(); }
 
   std::unique_ptr<service::Server> server;
   std::uint16_t port = 0;
-  std::thread thread;
 };
 
 /// A listening socket that accepts connections and reads forever but
@@ -287,17 +277,9 @@ struct ScriptedBackend {
 /// A router with its data plane serving on an ephemeral port.
 struct LiveRouter {
   explicit LiveRouter(cluster::RouterOptions options)
-      : router(std::move(options)) {
-    port = router.bind_listen(0);
-    thread = std::thread([this] { router.serve(); });
-  }
-  ~LiveRouter() {
-    router.stop();
-    if (thread.joinable()) thread.join();
-  }
+      : router(std::move(options)), port(router.start()) {}
   cluster::Router router;
   std::uint16_t port = 0;
-  std::thread thread;
 };
 
 // ------------------------------------------------------------ health monitor
@@ -366,13 +348,10 @@ TEST(HealthMonitor, RestartedBackendIsMarkedUpAgain) {
 
   // Same port, new process (well, new Server): the monitor must notice.
   service::Server revived(small_server_options());
-  ASSERT_EQ(revived.bind_listen(port), port);
-  std::thread serving([&revived] { revived.serve(); });
+  ASSERT_EQ(revived.start(port), port);
   for (int i = 0; i < 100 && !monitor.up(0); ++i) monitor.probe_now();
   EXPECT_TRUE(monitor.up(0));
   monitor.stop();
-  revived.stop();
-  serving.join();
 }
 
 // ------------------------------------------------------------ router smoke
@@ -392,6 +371,28 @@ std::vector<std::string> distinct_requests(std::size_t n) {
     lines.push_back("equilibrium workload=water threads=4 fan=" +
                     std::to_string(i % 7) + " dvfs=" + std::to_string(i / 7));
   return lines;
+}
+
+// ---------------------------------------------------------- router lifecycle
+
+// The same listener-lifecycle checks tecfand passes (ServerLifecycle), for
+// the router: its serve loop is the epoll data plane, which stop() wakes
+// through the wake the router registers with the shell. Local verbs need
+// no live backend.
+std::unique_ptr<service::Daemon> make_router() {
+  return std::make_unique<cluster::Router>(router_options({dead_port()}));
+}
+
+TEST(RouterLifecycle, EphemeralPortCanBeReboundAfterStop) {
+  lifecycle::rebind_after_stop(make_router);
+}
+
+TEST(RouterLifecycle, StopRacingServeShutsDownCleanly) {
+  lifecycle::stop_racing_serve(make_router);
+}
+
+TEST(RouterLifecycle, StopDrainsInFlightConnections) {
+  lifecycle::stop_drains_open_sessions(make_router);
 }
 
 TEST(ClusterSmoke, ControlVerbsAreAnsweredLocally) {

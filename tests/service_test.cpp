@@ -16,6 +16,7 @@
 #include <condition_variable>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -24,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "daemon_lifecycle.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 
@@ -998,8 +1000,7 @@ TEST(Server, SharedControlEngineAcrossConcurrentRuns) {
 
 TEST(ServerTcp, RoundTripAndConcurrentClients) {
   Server server(small_server_options());
-  const std::uint16_t port = server.bind_listen(0);
-  std::thread serving([&server] { server.serve(); });
+  const std::uint16_t port = server.start();
 
   auto client_session = [port](int salt) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -1035,7 +1036,6 @@ TEST(ServerTcp, RoundTripAndConcurrentClients) {
   for (auto& t : clients) t.join();
 
   server.stop();
-  serving.join();
   EXPECT_GE(server.stats().requests, 6u);  // 3 x (equilibrium + quit)
 }
 
@@ -1058,8 +1058,7 @@ int connect_to(std::uint16_t port) {
 // here). Before the fix this test dies with SIGPIPE.
 TEST(ServerTcp, ClientDisconnectMidWriteDoesNotKillTheServer) {
   Server server(small_server_options());
-  const std::uint16_t port = server.bind_listen(0);
-  std::thread serving([&server] { server.serve(); });
+  const std::uint16_t port = server.start();
 
   for (int round = 0; round < 4; ++round) {
     const int fd = connect_to(port);
@@ -1090,75 +1089,24 @@ TEST(ServerTcp, ClientDisconnectMidWriteDoesNotKillTheServer) {
             std::optional<std::string>("1"))
       << acc;
   server.stop();
-  serving.join();
 }
 
 // ---------------------------------------------------------- server lifecycle
 
+std::unique_ptr<Daemon> make_server() {
+  return std::make_unique<Server>(small_server_options());
+}
+
 TEST(ServerLifecycle, EphemeralPortCanBeReboundAfterStop) {
-  std::uint16_t port = 0;
-  {
-    Server first(small_server_options());
-    port = first.bind_listen(0);
-    ASSERT_GT(port, 0u);
-    std::thread serving([&first] { first.serve(); });
-    first.stop();
-    serving.join();
-  }
-  // The listening socket is fully released: the same port binds again
-  // (SO_REUSEADDR covers the TIME_WAIT tail).
-  Server second(small_server_options());
-  ASSERT_EQ(second.bind_listen(port), port);
-  std::thread serving([&second] { second.serve(); });
-  const int fd = connect_to(port);
-  const std::string req = "ping\nquit\n";
-  ASSERT_EQ(::send(fd, req.data(), req.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(req.size()));
-  char buf[128];
-  EXPECT_GT(::recv(fd, buf, sizeof(buf), 0), 0);
-  ::close(fd);
-  second.stop();
-  serving.join();
+  tecfan::lifecycle::rebind_after_stop(make_server);
 }
 
 TEST(ServerLifecycle, StopRacingServeShutsDownCleanly) {
-  // stop() may land before, during, or after the accept loop settles;
-  // every interleaving must return from serve() and join cleanly.
-  for (int round = 0; round < 5; ++round) {
-    Server server(small_server_options());
-    server.bind_listen(0);
-    std::thread serving([&server] { server.serve(); });
-    if (round > 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(50 * round));
-    server.stop();
-    serving.join();
-  }
+  tecfan::lifecycle::stop_racing_serve(make_server);
 }
 
 TEST(ServerLifecycle, StopDrainsInFlightConnections) {
-  Server server(small_server_options());
-  const std::uint16_t port = server.bind_listen(0);
-  std::thread serving([&server] { server.serve(); });
-
-  // One idle session and one with a partial (unterminated) request line
-  // buffered: stop() must close both and return, not wait for the line
-  // to complete.
-  const int idle_fd = connect_to(port);
-  const int partial_fd = connect_to(port);
-  const std::string partial = "equilibrium workload=water";  // no '\n'
-  ASSERT_EQ(::send(partial_fd, partial.data(), partial.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(partial.size()));
-  std::this_thread::sleep_for(20ms);  // let the conn threads pick them up
-
-  server.stop();
-  serving.join();
-
-  // Both clients observe EOF (connection closed server-side), not a hang.
-  char buf[64];
-  EXPECT_LE(::recv(idle_fd, buf, sizeof(buf), 0), 0);
-  EXPECT_LE(::recv(partial_fd, buf, sizeof(buf), 0), 0);
-  ::close(idle_fd);
-  ::close(partial_fd);
+  tecfan::lifecycle::stop_drains_open_sessions(make_server);
 }
 
 /// Lines in /proc/self/maps: one per memory mapping of this process.
@@ -1176,8 +1124,7 @@ std::size_t mapping_count() {
 // joined as new connections arrive.
 TEST(ServerLifecycle, ClosedSessionsDoNotAccumulateThreads) {
   Server server(small_server_options());
-  const std::uint16_t port = server.bind_listen(0);
-  std::thread serving([&server] { server.serve(); });
+  const std::uint16_t port = server.start();
   const auto ping_once = [port] {
     const int fd = connect_to(port);
     LineReader reader(fd);
@@ -1192,7 +1139,6 @@ TEST(ServerLifecycle, ClosedSessionsDoNotAccumulateThreads) {
   // Unjoined, 300 sessions would add ~600 mappings (stack + guard each).
   EXPECT_LT(after, before + 100) << before << " -> " << after;
   server.stop();
-  serving.join();
 }
 
 // -------------------------------------------------- framing: line bounds
@@ -1252,8 +1198,7 @@ TEST(LineReader, BlockingReadPathLatchesOverflowToo) {
 // request line instead of buffering it without bound.
 TEST(ServerTcp, OverlongRequestLineGetsAnErrorAndTheBoot) {
   Server server(small_server_options());
-  const std::uint16_t port = server.bind_listen(0);
-  std::thread serving([&server] { server.serve(); });
+  const std::uint16_t port = server.start();
 
   const int fd = connect_to(port);
   // > kDefaultMaxLineBytes of newline-free garbage.
@@ -1274,7 +1219,6 @@ TEST(ServerTcp, OverlongRequestLineGetsAnErrorAndTheBoot) {
   ::close(fd);
 
   server.stop();
-  serving.join();
   EXPECT_GE(server.stats().errors, 1u);
 }
 

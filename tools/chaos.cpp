@@ -14,12 +14,12 @@
 //
 // Exit status 0 = every storm passed, 1 = at least one violation.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "service/framing.h"
 #include "testing/chaos_fleet.h"
 
@@ -124,32 +124,16 @@ void usage() {
 }
 
 bool parse(int argc, char** argv, Args& out) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (a == "--help" || a == "-h") {
-      out.help = true;
-    } else if (a == "--chaos-seconds" && (v = next())) {
-      out.chaos_seconds = std::atof(v);
-    } else if (a == "--seed" && (v = next())) {
-      out.seed = std::strtoull(v, nullptr, 10);
-    } else if (a == "--backends" && (v = next())) {
-      out.backends = static_cast<std::size_t>(std::atoi(v));
-    } else if (a == "--clients" && (v = next())) {
-      out.clients = static_cast<std::size_t>(std::atoi(v));
-    } else if (a == "--requests" && (v = next())) {
-      out.requests_per_client = static_cast<std::size_t>(std::atoi(v));
-    } else if (a == "--phase" && (v = next())) {
-      out.phase = v;
-    } else {
-      std::fprintf(stderr, "bad argument: %s\n", a.c_str());
-      return false;
-    }
-  }
-  return true;
+  return cli::parse_flags(argc, argv, out.help, [&out](auto& f) {
+    if (f.is("--chaos-seconds")) return f.number(out.chaos_seconds, 0.0, 1e6);
+    if (f.is("--seed")) return f.number(out.seed);
+    if (f.is("--backends")) return f.number(out.backends, 1, 64);
+    if (f.is("--clients")) return f.number(out.clients, 1, 1024);
+    if (f.is("--requests"))
+      return f.number(out.requests_per_client, 1, 1 << 20);
+    if (f.is("--phase")) return f.text(out.phase);
+    return f.unknown();
+  });
 }
 
 }  // namespace

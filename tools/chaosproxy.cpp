@@ -15,11 +15,12 @@
 // Runs until SIGINT/SIGTERM; prints the bound port on startup and the
 // injection counters on shutdown.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <ctime>
 #include <string>
 
+#include "cli_flags.h"
 #include "service/framing.h"
 #include "testing/chaos_proxy.h"
 
@@ -41,65 +42,49 @@ void usage() {
       "                  [--unsolicited-p X] [--slowloris-p X]\n"
       "                  [--slowloris-delay-us N] [--reply-delay-p X]\n"
       "                  [--reply-delay-us N] [--reply-disconnect-p X]\n"
-      "  --target-port N   backend to front (required)\n"
+      "  --target-port N   backend to front (required, 1..65535)\n"
       "  --listen-port N   proxy port (0 = ephemeral, printed on stdout)\n"
       "  --seed N          decision-stream seed (replays are exact)\n"
+      "  probabilities (-p) are in [0, 1]; delays (-us) up to 10 s\n"
       "  connection faults: refuse (accept-then-close), blackhole\n"
       "  request leg:  short writes, delays, mid-stream disconnects\n"
       "  reply leg:    per-line corrupt/truncate/unsolicited garbage,\n"
       "                slow-loris dribble, delays, disconnects\n");
 }
 
-bool parse(int argc, char** argv, testing::ChaosProxyOptions& o, bool& help) {
-  auto flag = [&](int& i) -> const char* {
-    return i + 1 < argc ? argv[++i] : nullptr;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    const char* v = nullptr;
-    auto need = [&]() -> bool { return (v = flag(i)) != nullptr; };
-    if (a == "--help" || a == "-h") {
-      help = true;
-    } else if (a == "--target-port" && need()) {
-      o.target_port = static_cast<std::uint16_t>(std::atoi(v));
-    } else if (a == "--listen-port" && need()) {
-      o.listen_port = static_cast<std::uint16_t>(std::atoi(v));
-    } else if (a == "--seed" && need()) {
-      o.seed = std::strtoull(v, nullptr, 10);
-    } else if (a == "--refuse-p" && need()) {
-      o.refuse_p = std::atof(v);
-    } else if (a == "--blackhole-p" && need()) {
-      o.blackhole_p = std::atof(v);
-    } else if (a == "--short-write-cap" && need()) {
-      o.short_write_cap = static_cast<std::size_t>(std::atoi(v));
-    } else if (a == "--request-delay-p" && need()) {
-      o.request_delay_p = std::atof(v);
-    } else if (a == "--request-delay-us" && need()) {
-      o.request_delay_us = static_cast<std::uint32_t>(std::atoi(v));
-    } else if (a == "--request-disconnect-p" && need()) {
-      o.request_disconnect_p = std::atof(v);
-    } else if (a == "--corrupt-p" && need()) {
-      o.corrupt_p = std::atof(v);
-    } else if (a == "--truncate-p" && need()) {
-      o.truncate_p = std::atof(v);
-    } else if (a == "--unsolicited-p" && need()) {
-      o.unsolicited_p = std::atof(v);
-    } else if (a == "--slowloris-p" && need()) {
-      o.slowloris_p = std::atof(v);
-    } else if (a == "--slowloris-delay-us" && need()) {
-      o.slowloris_delay_us = static_cast<std::uint32_t>(std::atoi(v));
-    } else if (a == "--reply-delay-p" && need()) {
-      o.reply_delay_p = std::atof(v);
-    } else if (a == "--reply-delay-us" && need()) {
-      o.reply_delay_us = static_cast<std::uint32_t>(std::atoi(v));
-    } else if (a == "--reply-disconnect-p" && need()) {
-      o.reply_disconnect_p = std::atof(v);
-    } else {
-      std::fprintf(stderr, "bad argument: %s\n", a.c_str());
-      return false;
-    }
-  }
-  return true;
+constexpr std::uint32_t kMaxDelayUs = 10'000'000;
+
+bool parse(int argc, char** argv, testing::ChaosProxyOptions& o,
+           bool& help) {
+  return cli::parse_flags(argc, argv, help, [&o](auto& f) {
+    if (f.is("--target-port"))
+      return f.port(o.target_port, /*allow_ephemeral=*/false);
+    if (f.is("--listen-port"))
+      return f.port(o.listen_port, /*allow_ephemeral=*/true);
+    if (f.is("--seed")) return f.number(o.seed);
+    if (f.is("--refuse-p")) return f.number(o.refuse_p, 0.0, 1.0);
+    if (f.is("--blackhole-p")) return f.number(o.blackhole_p, 0.0, 1.0);
+    if (f.is("--short-write-cap"))
+      return f.number(o.short_write_cap, 0, 1 << 20);
+    if (f.is("--request-delay-p"))
+      return f.number(o.request_delay_p, 0.0, 1.0);
+    if (f.is("--request-delay-us"))
+      return f.number(o.request_delay_us, 0, kMaxDelayUs);
+    if (f.is("--request-disconnect-p"))
+      return f.number(o.request_disconnect_p, 0.0, 1.0);
+    if (f.is("--corrupt-p")) return f.number(o.corrupt_p, 0.0, 1.0);
+    if (f.is("--truncate-p")) return f.number(o.truncate_p, 0.0, 1.0);
+    if (f.is("--unsolicited-p")) return f.number(o.unsolicited_p, 0.0, 1.0);
+    if (f.is("--slowloris-p")) return f.number(o.slowloris_p, 0.0, 1.0);
+    if (f.is("--slowloris-delay-us"))
+      return f.number(o.slowloris_delay_us, 0, kMaxDelayUs);
+    if (f.is("--reply-delay-p")) return f.number(o.reply_delay_p, 0.0, 1.0);
+    if (f.is("--reply-delay-us"))
+      return f.number(o.reply_delay_us, 0, kMaxDelayUs);
+    if (f.is("--reply-disconnect-p"))
+      return f.number(o.reply_disconnect_p, 0.0, 1.0);
+    return f.unknown();
+  });
 }
 
 }  // namespace

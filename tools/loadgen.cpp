@@ -26,13 +26,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_flags.h"
 #include "cluster/router.h"
 #include "service/framing.h"
 #include "service/request.h"
@@ -46,7 +47,7 @@ using namespace tecfan;
 using Clock = std::chrono::steady_clock;
 
 struct Args {
-  int port = -1;  // -1: spawn in-process
+  std::optional<std::uint16_t> port;  // unset: spawn in-process
   int connections = 4;
   double duration_s = 3.0;
   int keys = 8;
@@ -103,79 +104,29 @@ void usage() {
 }
 
 bool parse(int argc, char** argv, Args& out) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&](int& i) -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (a == "--port") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.port = std::atoi(v);
-    } else if (a == "--connections") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.connections = std::atoi(v);
-    } else if (a == "--duration-s") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.duration_s = std::atof(v);
-    } else if (a == "--keys") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.keys = std::atoi(v);
-    } else if (a == "--sim-cap-s") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.sim_cap_s = std::atof(v);
-    } else if (a == "--workers") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.workers = static_cast<std::size_t>(std::atoi(v));
-    } else if (a == "--queue") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.queue = static_cast<std::size_t>(std::atoi(v));
-    } else if (a == "--cache") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.cache = static_cast<std::size_t>(std::atoi(v));
-    } else if (a == "--router") {
-      out.router = true;
-    } else if (a == "--backends") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.backends = std::atoi(v);
-    } else if (a == "--hedge-ms") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.hedge_ms = std::atof(v);
-    } else if (a == "--trace-every") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.trace_every = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (a == "--no-warmup") {
-      out.warmup = false;
-    } else if (a == "--check-p99") {
-      out.check_p99 = true;
-    } else if (a == "--out") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.out = v;
-    } else if (a == "--help" || a == "-h") {
-      out.help = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
-      return false;
-    }
-  }
-  if (out.router && out.port >= 0) {
+  const bool ok = cli::parse_flags(argc, argv, out.help, [&out](auto& f) {
+    if (f.is("--port")) return f.port(out.port, /*allow_ephemeral=*/false);
+    if (f.is("--connections")) return f.number(out.connections, 1, 4096);
+    if (f.is("--duration-s")) return f.number(out.duration_s, 1e-3, 1e6);
+    if (f.is("--keys")) return f.number(out.keys, 1, 1 << 20);
+    if (f.is("--sim-cap-s")) return f.number(out.sim_cap_s, 1e-6, 1e6);
+    if (f.is("--workers")) return f.number(out.workers, 1, 1024);
+    if (f.is("--queue")) return f.number(out.queue, 1, 1 << 20);
+    if (f.is("--cache")) return f.number(out.cache, 1, 1 << 24);
+    if (f.is("--router")) return f.set(out.router);
+    if (f.is("--backends")) return f.number(out.backends, 1, 64);
+    if (f.is("--hedge-ms")) return f.number(out.hedge_ms, -1.0, 1e9);
+    if (f.is("--trace-every")) return f.number(out.trace_every);
+    if (f.is("--no-warmup")) return f.set(out.warmup, false);
+    if (f.is("--check-p99")) return f.set(out.check_p99);
+    if (f.is("--out")) return f.text(out.out);
+    return f.unknown();
+  });
+  if (ok && out.router && out.port) {
     std::fprintf(stderr, "error: --router spawns its own fleet; drop --port\n");
     return false;
   }
-  return out.connections > 0 && out.duration_s > 0 && out.keys > 0 &&
-         out.sim_cap_s > 0 && out.workers > 0 && out.queue > 0 &&
-         out.cache > 0 && out.backends > 0;
+  return ok;
 }
 
 /// Resident set size of this process (which, with the in-process server, is
@@ -277,12 +228,10 @@ int main(int argc, char** argv) {
   // tecrouter front-end (--router). The fleet splits the worker budget so
   // direct and routed runs compare at equal total worker count.
   std::vector<std::unique_ptr<service::Server>> fleet;
-  std::vector<std::thread> fleet_threads;
   std::unique_ptr<cluster::Router> router;
-  std::thread router_thread;
   std::uint16_t port = 0;
-  if (args.port >= 0) {
-    port = static_cast<std::uint16_t>(args.port);
+  if (args.port) {
+    port = *args.port;
   } else {
     const std::size_t n = args.router
                               ? static_cast<std::size_t>(args.backends)
@@ -301,9 +250,7 @@ int main(int argc, char** argv) {
       // direct in-process server samples at the entry point itself.
       if (!args.router) options.trace_every = args.trace_every;
       fleet.push_back(std::make_unique<service::Server>(options));
-      backend_ports.push_back(fleet.back()->bind_listen(0));
-      fleet_threads.emplace_back(
-          [srv = fleet.back().get()] { srv->serve(); });
+      backend_ports.push_back(fleet.back()->start());
     }
     if (args.router) {
       cluster::RouterOptions options;
@@ -311,8 +258,7 @@ int main(int argc, char** argv) {
       options.hedge_ms = args.hedge_ms;
       options.trace_every = args.trace_every;
       router = std::make_unique<cluster::Router>(options);
-      port = router->bind_listen(0);
-      router_thread = std::thread([&router] { router->serve(); });
+      port = router->start();
       std::fprintf(stderr,
                    "loadgen: in-process tecrouter on port %u over %zu "
                    "backends (%zu workers each)\n",
@@ -504,7 +450,7 @@ int main(int argc, char** argv) {
 
   std::printf("== serving-path benchmark (loadgen) ==\n");
   std::printf("mode              %s\n",
-              router ? "router" : (args.port >= 0 ? "external" : "direct"));
+              router ? "router" : (args.port ? "external" : "direct"));
   if (router) {
     const cluster::Router::Stats rs = router->stats();
     std::printf("fleet             %zu backends (%zu up), %llu failovers, "
@@ -564,7 +510,7 @@ int main(int argc, char** argv) {
   if (rss_bytes > 0)
     std::printf("process RSS       %.1f MiB%s\n",
                 static_cast<double>(rss_bytes) / (1024.0 * 1024.0),
-                args.port < 0 ? " (loadgen + in-process server)" : "");
+                !args.port ? " (loadgen + in-process server)" : "");
 
   std::ofstream json(args.out);
   if (json) {
@@ -572,7 +518,7 @@ int main(int argc, char** argv) {
     json << "{\n"
          << "  \"bench\": \"serving\",\n"
          << "  \"mode\": \""
-         << (router ? "router" : (args.port >= 0 ? "external" : "direct"))
+         << (router ? "router" : (args.port ? "external" : "direct"))
          << "\",\n"
          << "  \"backends\": " << (router ? args.backends : 1) << ",\n"
          << "  \"router_failovers\": " << router_failovers << ",\n"
@@ -645,13 +591,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "loadgen: wrote %s\n", args.out.c_str());
   }
 
-  if (router) {
-    router->stop();
-    if (router_thread.joinable()) router_thread.join();
-  }
-  for (auto& srv : fleet) srv->stop();
-  for (auto& t : fleet_threads)
-    if (t.joinable()) t.join();
   if (args.check_p99 && !crosscheck_pass) {
     std::fprintf(stderr,
                  crosscheck_applicable

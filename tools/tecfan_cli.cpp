@@ -12,11 +12,11 @@
 // radix). Without --fan, the Sec. IV-C sweep picks the level; with --fan N
 // the run is pinned to that level.
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
 
+#include "cli_flags.h"
 #include "core/policy_factory.h"
 #include "perf/splash2.h"
 #include "sim/chip_simulator.h"
@@ -51,44 +51,19 @@ void usage() {
 }
 
 bool parse(int argc, char** argv, Args& out) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&](int& i) -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    if (a == "--policy") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.policy = v;
-    } else if (a == "--workload") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.workload = v;
-    } else if (a == "--threads") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.threads = std::atoi(v);
-    } else if (a == "--fan") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.fan = std::atoi(v);
-    } else if (a == "--sweep") {
+  return cli::parse_flags(argc, argv, out.help, [&out](auto& f) {
+    if (f.is("--policy")) return f.text(out.policy);
+    if (f.is("--workload")) return f.text(out.workload);
+    if (f.is("--threads")) return f.number(out.threads, 1, 1024);
+    if (f.is("--fan")) return f.number(out.fan, 0, 1024);
+    if (f.is("--sweep")) {
       out.fan = -1;
-    } else if (a == "--csv") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.csv = v;
-    } else if (a == "--list") {
-      out.list = true;
-    } else if (a == "--help" || a == "-h") {
-      out.help = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
-      return false;
+      return true;
     }
-  }
-  return true;
+    if (f.is("--csv")) return f.text(out.csv);
+    if (f.is("--list")) return f.set(out.list);
+    return f.unknown();
+  });
 }
 
 }  // namespace

@@ -10,21 +10,16 @@
 //
 //   tecrouter --port 0 --backends 7411,7412 --hedge-ms 0
 //                                  # ephemeral port, auto p99 hedging
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <thread>
 #include <vector>
 
 #include "cli_flags.h"
 #include "cluster/router.h"
+#include "metrics_logger.h"
 #include "service/framing.h"
-#include "util/metrics.h"
 
 namespace {
 
@@ -65,79 +60,20 @@ void usage() {
       "                     the `trace` protocol verb or tools/tracecat\n");
 }
 
-/// One stderr line per dump, rendered from a single registry snapshot so
-/// every number in it describes the same instant (counters never run
-/// ahead of the histograms they explain). Counters and runtime gauges
-/// first, then every non-empty stage histogram.
-void log_metrics(const cluster::Router& router) {
-  const auto snapshot = router.metrics_snapshot();
-  std::string line = "tecrouter metrics:";
-  for (const auto& [name, value] : snapshot.counters) {
-    if (value == 0) continue;
-    line += ' ' + name + '=' + std::to_string(value);
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    if (value == 0.0) continue;
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), " %s=%.0f", name.c_str(), value);
-    line += buf;
-  }
-  bool any = false;
-  for (const auto& [name, snap] : snapshot.histograms) {
-    if (snap.count == 0) continue;
-    any = true;
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  " %s(n=%llu p50=%.1fus p99=%.1fus max=%.1fus)", name.c_str(),
-                  static_cast<unsigned long long>(snap.count),
-                  snap.percentile(50.0), snap.percentile(99.0), snap.max_us);
-    line += buf;
-  }
-  if (!any && snapshot.counters.empty()) line += " (no samples yet)";
-  std::fprintf(stderr, "%s\n", line.c_str());
-  std::fflush(stderr);
-}
-
 bool parse(int argc, char** argv, Args& out) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") {
-      out.help = true;
-      continue;
-    }
-    // Every other flag takes a value; a missing one parses as "".
-    const std::string_view v = i + 1 < argc ? argv[++i] : "";
-    std::uint16_t port = 0;
-    bool ok;
-    if (a == "--port") {
-      ok = cli::parse_port(v, port, /*allow_ephemeral=*/true);
-      if (ok) out.port = port;
-    } else if (a == "--backends") {
-      ok = cli::parse_ports(v, out.backends);
-    } else if (a == "--vnodes") {
-      ok = cli::parse_number(v, out.vnodes, 1, 1 << 16);
-    } else if (a == "--deadline-ms") {
-      ok = cli::parse_number(v, out.deadline_ms, 0.0, 1e9);
-    } else if (a == "--hedge-ms") {
-      ok = cli::parse_number(v, out.hedge_ms, -1.0, 1e9);
-    } else if (a == "--health-interval") {
-      ok = cli::parse_number(v, out.health_interval_s, 1e-6, 1e6);
-    } else if (a == "--metrics-interval") {
-      ok = cli::parse_number(v, out.metrics_interval_s, 0.0, 1e6);
-    } else if (a == "--trace-every") {
-      ok = cli::parse_number(v, out.trace_every, 0,
-                             std::numeric_limits<std::uint64_t>::max());
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
-      return false;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "invalid value for %s: '%.*s'\n", a.c_str(),
-                   static_cast<int>(v.size()), v.data());
-      return false;
-    }
-  }
-  return true;
+  return cli::parse_flags(argc, argv, out.help, [&out](auto& f) {
+    if (f.is("--port")) return f.port(out.port, /*allow_ephemeral=*/true);
+    if (f.is("--backends")) return f.ports(out.backends);
+    if (f.is("--vnodes")) return f.number(out.vnodes, 1, 1 << 16);
+    if (f.is("--deadline-ms")) return f.number(out.deadline_ms, 0.0, 1e9);
+    if (f.is("--hedge-ms")) return f.number(out.hedge_ms, -1.0, 1e9);
+    if (f.is("--health-interval"))
+      return f.number(out.health_interval_s, 1e-6, 1e6);
+    if (f.is("--metrics-interval"))
+      return f.number(out.metrics_interval_s, 0.0, 1e6);
+    if (f.is("--trace-every")) return f.number(out.trace_every);
+    return f.unknown();
+  });
 }
 
 }  // namespace
@@ -167,24 +103,8 @@ int main(int argc, char** argv) {
   options.trace_every = args.trace_every;
   cluster::Router router(options);
 
-  // Periodic telemetry to stderr, same sampling-thread shape as tecfand's
-  // --metrics-interval: a 50ms poll so shutdown never waits a full period.
-  std::atomic<bool> stop_metrics{false};
-  std::thread metrics_logger;
-  if (args.metrics_interval_s > 0) {
-    metrics_logger = std::thread([&router, &stop_metrics,
-                                  interval = args.metrics_interval_s] {
-      const auto step = std::chrono::duration<double>(interval);
-      auto next = std::chrono::steady_clock::now() + step;
-      while (!stop_metrics.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        if (std::chrono::steady_clock::now() < next) continue;
-        next += std::chrono::duration_cast<
-            std::chrono::steady_clock::duration>(step);
-        log_metrics(router);
-      }
-    });
-  }
+  const cli::MetricsLogger logger(router, "tecrouter",
+                                 args.metrics_interval_s);
 
   const std::uint16_t port = router.bind_listen(*args.port);
   std::string fleet;
@@ -201,7 +121,5 @@ int main(int argc, char** argv) {
                                     : "fixed");
   std::fflush(stderr);
   router.serve();
-  stop_metrics.store(true);
-  if (metrics_logger.joinable()) metrics_logger.join();
   return 0;
 }

@@ -11,13 +11,15 @@
 //   tools/tracecat --port 7400 | jq .
 //   tools/tracecat --port 7400 --limit 4 --follow 2   # poll every 2 s
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include <unistd.h>
 
+#include "cli_flags.h"
 #include "service/framing.h"
 #include "service/request.h"
 
@@ -26,7 +28,7 @@ namespace {
 using namespace tecfan;
 
 struct Args {
-  int port = -1;
+  std::optional<std::uint16_t> port;
   int limit = 16;
   double follow_s = 0.0;  // 0: one shot
   bool help = false;
@@ -43,32 +45,12 @@ void usage() {
 }
 
 bool parse(int argc, char** argv, Args& out) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&](int& i) -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (a == "--port") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.port = std::atoi(v);
-    } else if (a == "--limit") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.limit = std::atoi(v);
-    } else if (a == "--follow") {
-      const char* v = next(i);
-      if (!v) return false;
-      out.follow_s = std::atof(v);
-    } else if (a == "--help" || a == "-h") {
-      out.help = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
-      return false;
-    }
-  }
-  return out.port > 0 && out.port <= 65535 && out.limit > 0 &&
-         out.follow_s >= 0;
+  return cli::parse_flags(argc, argv, out.help, [&out](auto& f) {
+    if (f.is("--port")) return f.port(out.port, /*allow_ephemeral=*/false);
+    if (f.is("--limit")) return f.number(out.limit, 1, 1 << 16);
+    if (f.is("--follow")) return f.number(out.follow_s, 0.0, 1e6);
+    return f.unknown();
+  }) && (out.port || out.help);
 }
 
 /// One `trace` round trip; prints each returned trace as a JSON line.
@@ -84,7 +66,7 @@ int dump_once(int fd, service::LineReader& reader, int limit) {
     return -1;
   }
   int count = 0;
-  if (auto n = r.field("traces")) count = std::atoi(n->c_str());
+  if (auto n = r.field("traces")) cli::parse_number(*n, count, 0, limit);
   for (int i = 0; i < count; ++i) {
     const auto t = r.field("t" + std::to_string(i));
     if (!t) break;
@@ -104,11 +86,10 @@ int main(int argc, char** argv) {
   }
   service::ignore_sigpipe();
 
-  const int fd =
-      service::connect_loopback(static_cast<std::uint16_t>(args.port));
+  const int fd = service::connect_loopback(*args.port);
   if (fd < 0) {
-    std::fprintf(stderr, "tracecat: cannot connect to 127.0.0.1:%d\n",
-                 args.port);
+    std::fprintf(stderr, "tracecat: cannot connect to 127.0.0.1:%u\n",
+                 *args.port);
     return 1;
   }
   service::LineReader reader(fd);
