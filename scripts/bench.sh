@@ -9,27 +9,32 @@
 #                        4-core server model and the full 32768-candidate
 #                        sweep evaluated scalar vs batch vs parallel-batch
 #                        (all three must pick the same winner bit-exactly).
-#   BENCH_serving.json — tecfand miss-path run: the request working set is
-#                        much larger than the result cache and warm-up is
-#                        off, so nearly every request pays the cache-miss
-#                        compute the banded backend accelerates. The key
-#                        grid now mixes run/sweep requests in with the
-#                        equilibrium ones (reported per kind under
-#                        "kind_split"), the run embeds the server-side
-#                        per-stage latency histograms (`metrics` verb), and
-#                        it fails if the server-reported hit p99 disagrees
-#                        with the client-observed one (--check-p99).
+#   BENCH_serving.json — one cold tecfand pass: tools/loadgen sends each of
+#                        the 1024 distinct grid keys once (equilibrium, run
+#                        and sweep requests, reported per kind under
+#                        "kind_split") with warm-up off, so every request
+#                        pays the cache-miss compute the banded backend
+#                        accelerates. The run embeds the server-side
+#                        per-stage latency histograms (`metrics` verb).
 #   BENCH_cluster.json — direct tecfand vs tecrouter over 1/2/4 in-process
-#                        backends (cached + miss paths over loopback TCP
-#                        through the router's one data plane), a
-#                        bit-identical routed-vs-direct reply check over
-#                        TCP, and a failover run killing a backend
-#                        mid-stream (client-visible errors must be zero).
-#                        The miss corpus is the same >=1k-request loadgen
-#                        key grid BENCH_serving walks. The file records
-#                        the core count: on one core the router column
-#                        measures forwarding overhead, not horizontal
-#                        scaling.
+#                        backends, 2 workers per backend, all from loadgen
+#                        runs (reports kept in build-release/cluster/).
+#                        Each topology gets one cold miss pass (each of the
+#                        1024 grid keys once over 16 connections) and the
+#                        best of three warm cached passes (32 keys, 16
+#                        connections, CLUSTER_DURATION_S each). The direct
+#                        cached passes, where every round trip is a hit,
+#                        fail if the server-reported hit p99 disagrees
+#                        with the client-observed one (--check-p99). One
+#                        traced routed cold pass fills the "tracing"
+#                        section. Routed-vs-direct reply bytes and
+#                        failover without client-visible errors are
+#                        tier-1 tests (ClusterSmoke, DataPlaneEquivalence,
+#                        RouterPipeline, Chaos), not bench runs.
+#
+# Every BENCH file records the host that produced it under "host": cores,
+# compiler, build type and `git describe`. On one core the router column
+# measures forwarding overhead, not horizontal scaling.
 #
 # After the cluster run this script asserts the routed/direct cached
 # throughput ratio against ROUTED_RATIO_FLOOR (default 0.6): a forwarding
@@ -47,12 +52,12 @@
 # in but unsampled, so its throughput against the committed
 # BENCH_serving.json is the cost of the always-on trace branches. The
 # delta is recorded as trace_overhead_pct and gated at
-# TRACE_OVERHEAD_PCT_MAX (default 2%). BENCH_cluster.json additionally
-# records sampled-trace counts per tier from a short fully-sampled routed
-# pass ("tracing" section).
+# TRACE_OVERHEAD_PCT_MAX (default 2%). Both runs are the same 1024
+# requests with a hit ratio of exactly 0. BENCH_cluster.json additionally
+# records sampled-trace counts per tier from the traced routed pass.
 #
-#   scripts/bench.sh                 # all benchmarks, 3 s loadgen run
-#   DURATION_S=10 scripts/bench.sh   # longer serving interval
+#   scripts/bench.sh                 # all benchmarks
+#   CLUSTER_DURATION_S=3 scripts/bench.sh     # longer cached cluster passes
 #   ROUTED_RATIO_FLOOR=0.7 scripts/bench.sh   # stricter router floor
 #   CHAOS_SECONDS=60 scripts/bench.sh         # longer chaos storm budget
 #   CHAOS_SECONDS=0.1 CHAOS_SEED=7 scripts/bench.sh  # quick seeded storm
@@ -65,17 +70,47 @@ ROUTED_RATIO_FLOOR="${ROUTED_RATIO_FLOOR:-0.6}"
 
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j"$JOBS" \
-  --target bench_solver bench_policy bench_cluster loadgen chaos
+  --target bench_solver bench_policy loadgen chaos
+
+# Add the "host" block (cores, compiler, build type, git describe) to each
+# BENCH file named.
+stamp_host() {
+  python3 - "$@" <<'EOF'
+import json, os, re, subprocess, sys
+
+cache = {}
+with open("build-release/CMakeCache.txt") as f:
+    for line in f:
+        m = re.match(r"(CMAKE_CXX_COMPILER|CMAKE_BUILD_TYPE):\w+=(.*)", line)
+        if m:
+            cache[m.group(1)] = m.group(2).strip()
+compiler = subprocess.run([cache["CMAKE_CXX_COMPILER"], "--version"],
+                          capture_output=True, text=True).stdout.splitlines()[0]
+describe = subprocess.run(["git", "describe", "--always", "--dirty"],
+                          capture_output=True, text=True).stdout.strip()
+host = {"cores": os.cpu_count(), "compiler": compiler,
+        "build_type": cache["CMAKE_BUILD_TYPE"], "git_describe": describe}
+for path in sys.argv[1:]:
+    with open(path) as f:
+        bench = json.load(f)
+    bench.pop("host", None)
+    with open(path, "w") as f:
+        json.dump({"host": host, **bench}, f, indent=2)
+        f.write("\n")
+EOF
+}
 
 ./build-release/bench/bench_solver --out BENCH_solver.json
+stamp_host BENCH_solver.json
 
 ./build-release/bench/bench_policy --out BENCH_policy.json
+stamp_host BENCH_policy.json
 
+# One whole cold pass: --duration-s only caps it.
 ./build-release/tools/loadgen \
-  --keys 1024 --cache 128 --no-warmup \
-  --duration-s "${DURATION_S:-3}" \
-  --check-p99 \
+  --keys 1024 --cache 128 --no-warmup --duration-s 600 \
   --out BENCH_serving.json
+stamp_host BENCH_serving.json
 
 # Tracing overhead gate: the run above has tracing compiled in but
 # unsampled (--trace-every defaults to 0), so its throughput against the
@@ -114,9 +149,74 @@ else:
           "skipping the trace-overhead gate")
 EOF
 
-./build-release/bench/bench_cluster \
-  --duration-s "${CLUSTER_DURATION_S:-1.5}" \
-  --out BENCH_cluster.json
+# BENCH_cluster.json. Every topology keeps 2 workers per backend; a cold
+# pass sends each key once, and --duration-s only caps it.
+CLUSTER_OUT=build-release/cluster
+mkdir -p "$CLUSTER_OUT"
+cluster_run() {  # NAME LOADGEN-FLAGS...: report to $CLUSTER_OUT/NAME.{txt,json}
+  local name="$1"
+  shift
+  ./build-release/tools/loadgen "$@" --out "$CLUSTER_OUT/$name.json" \
+    > "$CLUSTER_OUT/$name.txt"
+}
+for backends in 0 1 2 4; do
+  if (( backends == 0 )); then
+    name=direct fleet=(--workers 2) check=(--check-p99)
+  else
+    name=router_$backends check=()
+    fleet=(--router --backends "$backends" --workers $((2 * backends)))
+  fi
+  cluster_run "$name.miss" "${fleet[@]}" --keys 1024 --cache 48 \
+    --no-warmup --connections 16 --duration-s 600
+  for pass in 1 2 3; do
+    cluster_run "$name.cached$pass" "${fleet[@]}" --keys 32 --cache 48 \
+      --connections 16 --duration-s "${CLUSTER_DURATION_S:-1.5}" \
+      "${check[@]}"
+  done
+done
+cluster_run traced --router --backends 2 --workers 4 --keys 1024 \
+  --cache 48 --no-warmup --connections 4 --trace-every 8 --duration-s 600
+
+python3 - "$CLUSTER_OUT" "${CLUSTER_DURATION_S:-1.5}" <<'EOF'
+import json, sys
+
+out_dir, duration_s = sys.argv[1], float(sys.argv[2])
+
+def report(name):
+    with open(f"{out_dir}/{name}.json") as f:
+        return json.load(f)
+
+def numbers(run):
+    return {"rps": run["throughput_rps"], "p50_us": run["latency_p50_us"],
+            "p99_us": run["latency_p99_us"], "requests": run["requests"],
+            "errors": run["errors"] + run["busy_rejections"]}
+
+scenarios = {}
+for name, backends in (("direct", 0), ("router_1", 1), ("router_2", 2),
+                       ("router_4", 4)):
+    cached = max((report(f"{name}.cached{p}") for p in (1, 2, 3)),
+                 key=lambda run: run["throughput_rps"])
+    miss = report(f"{name}.miss")
+    scenarios[name] = {"backends": backends, "cached": numbers(cached),
+                       "miss": numbers(miss)}
+    print(f"bench.sh: {name:<9} cached {cached['throughput_rps']:8.0f} rps, "
+          f"miss {miss['throughput_rps']:7.0f} rps")
+traced = report("traced")
+bench = {
+    "config": {"duration_s": duration_s, "connections": 16,
+               "cached_passes": 3, "cached_keys": 32, "miss_keys": 1024,
+               "cache_per_backend": 48, "workers_per_backend": 2},
+    "scenarios": scenarios,
+    "tracing": {"trace_every": traced["trace_every"],
+                "requests": traced["requests"],
+                "traces_sampled_router": traced["traces_sampled_router"],
+                "traces_sampled_server": traced["traces_sampled_server"]},
+}
+with open("BENCH_cluster.json", "w") as f:
+    json.dump(bench, f, indent=2)
+    f.write("\n")
+EOF
+stamp_host BENCH_cluster.json
 
 # The router is only worth shipping while forwarding stays cheap: fail the
 # run if the epoll plane's cached throughput falls below the floor as a

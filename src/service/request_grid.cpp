@@ -14,6 +14,27 @@ std::vector<GridRequest> request_grid(int keys) {
   const auto wl = [&workloads](int i) {
     return workloads[static_cast<std::size_t>(i) % workloads.size()];
   };
+  // Every equilibrium point, in grid order. Each group's workloads have a
+  // Table I (or extended) case at the group's thread count; the chip has
+  // 8 fan and 6 DVFS levels.
+  struct Group {
+    std::vector<std::string> workloads;
+    const char* threads;
+  };
+  const Group groups[] = {{workloads, "16"},
+                          {{"cholesky", "lu", "fmm", "water"}, "4"},
+                          {{"barnes", "ocean", "radix"}, "16"}};
+  std::vector<std::string> points;
+  for (const Group& g : groups)
+    for (const char* tec : {"", " tec=on"})
+      for (int dvfs = 0; dvfs < 6; ++dvfs)
+        for (int fan = 0; fan < 8; ++fan)
+          for (const std::string& w : g.workloads)
+            points.push_back("equilibrium workload=" + w +
+                             " threads=" + g.threads +
+                             " fan=" + std::to_string(fan) +
+                             " dvfs=" + std::to_string(dvfs) + tec);
+
   std::vector<GridRequest> out;
   out.reserve(static_cast<std::size_t>(keys));
   int eq = 0, run = 0, sweep = 0;
@@ -33,16 +54,7 @@ std::vector<GridRequest> request_grid(int keys) {
                          " threads=16",
                      GridKind::kRun});
     } else {
-      const int e = eq++;
-      const int fan = (e / static_cast<int>(workloads.size())) % 8;
-      const int dvfs = (e / 32) % 4;
-      const bool tec = (e / 128) % 2 != 0;
-      const int threads = (e / 256) % 2 != 0 ? 8 : 16;
-      out.push_back({"equilibrium workload=" + wl(e) +
-                         " threads=" + std::to_string(threads) +
-                         " fan=" + std::to_string(fan) +
-                         " dvfs=" + std::to_string(dvfs) +
-                         (tec ? " tec=on" : ""),
+      out.push_back({points[static_cast<std::size_t>(eq++) % points.size()],
                      GridKind::kEquilibrium});
     }
   }

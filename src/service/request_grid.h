@@ -1,15 +1,19 @@
-// The deterministic repeated-key working set shared by loadgen and the
-// cluster benchmark (both need the same corpus so routed-vs-direct numbers
-// compare like for like).
+// The deterministic request working set loadgen drives (BENCH_serving
+// and BENCH_cluster both come from loadgen runs over it).
 //
-// Mostly equilibrium points across the benchmark x fan-level x DVFS x TEC
-// x thread-count grid (4 x 8 x 4 x 2 x 2 = 1024 distinct requests); every
-// 16th key is a policy `run` (4 policies x 4 workloads x 4 fan levels) and
-// every 64th a fan `sweep` (4 policies x 4 workloads), so a 1024-key set
-// exercises all three compute kinds the daemon serves. Each kind advances
-// through its own grid densely; small key counts (< 16) stay
-// pure-equilibrium on the original benchmark x fan corner so historical
-// BENCH_serving.json runs remain comparable.
+// Mostly equilibrium points: every (workload, threads) pair with a Table I
+// (or extended) case -- cholesky, lu, fmm and volrend at 16 threads, then
+// cholesky, lu, fmm and water at 4, then barnes, ocean and radix at 16 --
+// at each of the 16-core chip's 8 fan levels, 6 DVFS levels and both TEC
+// states (11 x 8 x 6 x 2 = 1056 distinct requests), so every line is
+// servable. Every 16th key is a policy `run` (4 policies x 4 workloads x
+// 4 fan levels) and every 64th a fan `sweep` (4 policies x 4 workloads),
+// so a 1024-key set exercises all three compute kinds the daemon serves,
+// and its 1024 lines are distinct: a cold pass over it is all misses
+// whatever the cache size. Each kind advances through its own grid
+// densely; small key counts (< 16) stay pure-equilibrium on the original
+// benchmark x fan corner so historical BENCH_serving.json runs remain
+// comparable.
 #pragma once
 
 #include <string>

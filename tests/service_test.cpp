@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -26,12 +27,15 @@
 #include <vector>
 
 #include "daemon_lifecycle.h"
+#include "perf/splash2.h"
+#include "sim/defaults.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 
 #include "service/fault_injection.h"
 #include "service/framing.h"
 #include "service/request.h"
+#include "service/request_grid.h"
 #include "service/result_cache.h"
 #include "service/server.h"
 #include "service/task_queue.h"
@@ -305,6 +309,37 @@ TEST(Protocol, ResponseRoundTrips) {
 
   EXPECT_EQ(parse_response("busy").status, Response::Status::kBusy);
   EXPECT_EQ(parse_response("???").status, Response::Status::kError);
+}
+
+// ------------------------------------------------------------ request grid
+
+// loadgen's working set must hold only requests a daemon can answer: a
+// (workload, threads) pair without a Table I case, or a fan or DVFS level
+// the chip lacks, comes back as an `error` reply and fails the run.
+TEST(RequestGrid, EveryLineIsServable) {
+  const tecfan::sim::ChipModels chip;
+  const std::vector<GridRequest> grid = request_grid(1024);
+  ASSERT_EQ(grid.size(), 1024u);
+  for (const GridRequest& r : grid) {
+    const ParsedRequest parsed = parse_request(r.line);
+    ASSERT_TRUE(parsed.ok) << r.line << ": " << parsed.error;
+    ASSERT_TRUE(parsed.request.is_compute()) << r.line;
+    EXPECT_NO_THROW(
+        tecfan::perf::table1_case(parsed.request.workload,
+                                  parsed.request.threads))
+        << r.line;
+    EXPECT_LT(parsed.request.fan, chip.fan.level_count()) << r.line;
+    EXPECT_LT(parsed.request.dvfs, chip.dvfs.level_count()) << r.line;
+  }
+}
+
+// A cold loadgen pass over up to 1024 keys is all misses only if no key
+// repeats within it.
+TEST(RequestGrid, FirstThousandKeysAreDistinct) {
+  std::set<std::string> keys;
+  for (const GridRequest& r : request_grid(1024))
+    keys.insert(canonical_key(parse_request(r.line).request));
+  EXPECT_EQ(keys.size(), 1024u);
 }
 
 // ------------------------------------------------------------------ cache

@@ -2,14 +2,19 @@
 // benchmark.
 //
 // Opens C connections to a local tecfand (or spawns an in-process server
-// when --port is not given), drives each connection closed-loop over a
-// repeated-key request working set, and reports throughput, p50/p99
-// latency, and the daemon's cache hit rate. Results go to stdout and, in
-// minimal JSON, to BENCH_serving.json (--out to override).
+// when --port is not given) and drives them closed-loop over the shared
+// request grid (src/service/request_grid.h). Connection c sends keys c,
+// c+C, c+2C, ...: a warm run cycles that stripe for --duration-s, and a
+// --no-warmup run sends it once, so a cold run is a fixed-count pass of
+// misses. Reports throughput, p50/p99 latency, `error` replies and the
+// daemon's cache hit rate to stdout and, in minimal JSON, to
+// BENCH_serving.json (--out to override); exits 1 if any request failed.
+// scripts/bench.sh builds BENCH_serving.json and BENCH_cluster.json from
+// loadgen runs.
 //
 //   loadgen                              # in-process server, 4 conns, 3 s
 //   loadgen --port 7411 --connections 8 --duration-s 10
-//   loadgen --keys 32 --no-warmup       # larger working set, cold cache
+//   loadgen --keys 1024 --no-warmup      # one cold pass over 1024 keys
 //
 // Fleet mode (--router) spawns N in-process tecfand backends plus a
 // tecrouter front-end and drives the router, so sharded serving can be
@@ -22,7 +27,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -75,8 +79,10 @@ void usage() {
       "               [--out FILE]\n"
       "  --port N         target an external tecfand or tecrouter\n"
       "                   (default: in-process)\n"
-      "  --connections C  closed-loop client connections (default 4)\n"
-      "  --duration-s S   measured interval (default 3)\n"
+      "  --connections C  closed-loop client connections (default 4);\n"
+      "                   connection c sends keys c, c+C, c+2C, ...\n"
+      "  --duration-s S   measured interval (default 3); caps the one\n"
+      "                   pass of a --no-warmup run\n"
       "  --keys K         distinct requests in the working set (8).\n"
       "                   Mostly equilibrium points; every 16th key is a\n"
       "                   `run` and every 64th a `sweep`, so large sets\n"
@@ -97,7 +103,8 @@ void usage() {
       "  --trace-every N  sample every Nth compute request for cross-tier\n"
       "                   tracing in the in-process tiers (0 = off);\n"
       "                   sampled-trace counts land in the JSON report\n"
-      "  --no-warmup      skip the cache-priming pass\n"
+      "  --no-warmup      skip the cache-priming pass and send each key\n"
+      "                   once (a cold, fixed-count pass)\n"
       "  --check-p99      exit non-zero when the server-side e2e hit p99\n"
       "                   disagrees with the client-side hit p99\n"
       "  --out FILE       JSON report path (BENCH_serving.json)\n");
@@ -169,9 +176,8 @@ class Client {
   service::LineReader reader_;
 };
 
-/// JSON/report names for the shared request grid's compute kinds (indexes
-/// match service::GridKind; the grid itself lives in
-/// src/service/request_grid.* so bench_cluster drives the same corpus).
+/// JSON/report names for the request grid's compute kinds (indexes match
+/// service::GridKind).
 const char* const kKindNames[] = {"equilibrium", "run", "sweep"};
 
 double get_field(const service::Response& r, const char* key) {
@@ -297,51 +303,64 @@ int main(int argc, char** argv) {
                  std::chrono::duration<double>(Clock::now() - t0).count());
   }
 
-  // Measured closed-loop interval. Replies are classified client-side:
-  // `ok cached=1 ...` round trips are cache hits, plain `ok` are misses,
-  // so the client-side percentiles can be cross-checked against the
-  // server's hit/miss-split e2e histograms.
+  // Measured closed-loop interval: connection c sends keys c, c+C, ...
+  // until the deadline, or, without a warmup, until its stripe is sent
+  // once. Replies are classified client-side: `ok cached=1 ...` round
+  // trips are cache hits, plain `ok` are misses, so the client-side
+  // percentiles can be cross-checked against the server's hit/miss-split
+  // e2e histograms. Any other reply, or a lost connection, is an error
+  // and stays out of the latency samples.
   struct PerConn {
-    std::vector<double> all;   // every completed (non-busy) round trip
+    std::vector<double> all;   // every ok round trip
     std::vector<double> hit;   // ok, served from the result cache
     std::vector<double> miss;  // ok, computed
     std::vector<double> by_kind[3];  // split by request kind
     std::uint64_t busy = 0;
+    std::uint64_t errors = 0;
   };
-  std::atomic<bool> stop{false};
   std::vector<PerConn> per_conn(static_cast<std::size_t>(args.connections));
   std::vector<std::thread> clients;
   const auto start = Clock::now();
+  const auto deadline =
+      start + std::chrono::duration_cast<Clock::duration>(
+                  std::chrono::duration<double>(args.duration_s));
   for (int c = 0; c < args.connections; ++c) {
     clients.emplace_back([&, c] {
-      Client client;
-      if (!client.connect_to(port)) return;
       PerConn& mine = per_conn[static_cast<std::size_t>(c)];
-      std::size_t i = static_cast<std::size_t>(c);  // stagger the rotation
-      while (!stop.load(std::memory_order_relaxed)) {
-        const service::GridRequest& req = requests[i++ % requests.size()];
+      Client client;
+      if (!client.connect_to(port)) {
+        ++mine.errors;
+        return;
+      }
+      for (std::size_t i = static_cast<std::size_t>(c);
+           args.warmup || i < requests.size();
+           i += static_cast<std::size_t>(args.connections)) {
+        const service::GridRequest& req = requests[i % requests.size()];
         const auto t0 = Clock::now();
+        if (t0 >= deadline) break;
         const std::string reply = client.round_trip(req.line);
         const auto t1 = Clock::now();
-        if (reply.empty()) break;
+        if (reply.empty()) {
+          ++mine.errors;
+          break;
+        }
         if (reply == "busy") {
           ++mine.busy;
+          continue;
+        }
+        if (reply.rfind("ok", 0) != 0) {
+          ++mine.errors;
           continue;
         }
         const double us =
             std::chrono::duration<double, std::micro>(t1 - t0).count();
         mine.all.push_back(us);
         mine.by_kind[static_cast<int>(req.kind)].push_back(us);
-        if (reply.rfind("ok cached=1", 0) == 0) {
-          mine.hit.push_back(us);
-        } else if (reply.rfind("ok", 0) == 0) {
-          mine.miss.push_back(us);
-        }
+        (reply.rfind("ok cached=1", 0) == 0 ? mine.hit : mine.miss)
+            .push_back(us);
       }
     });
   }
-  std::this_thread::sleep_for(std::chrono::duration<double>(args.duration_s));
-  stop.store(true);
   for (auto& t : clients) t.join();
   const double elapsed =
       std::chrono::duration<double>(Clock::now() - start).count();
@@ -350,7 +369,7 @@ int main(int argc, char** argv) {
   std::vector<double> by_kind[3];
   std::size_t keys_by_kind[3] = {0, 0, 0};
   for (const auto& r : requests) ++keys_by_kind[static_cast<int>(r.kind)];
-  std::uint64_t busy_total = 0;
+  std::uint64_t busy_total = 0, errors_total = 0;
   for (const auto& conn : per_conn) {
     all.insert(all.end(), conn.all.begin(), conn.all.end());
     hits.insert(hits.end(), conn.hit.begin(), conn.hit.end());
@@ -359,9 +378,11 @@ int main(int argc, char** argv) {
       by_kind[k].insert(by_kind[k].end(), conn.by_kind[k].begin(),
                         conn.by_kind[k].end());
     busy_total += conn.busy;
+    errors_total += conn.errors;
   }
   if (all.empty()) {
-    std::fprintf(stderr, "loadgen: no requests completed\n");
+    std::fprintf(stderr, "loadgen: no requests completed (%llu errors)\n",
+                 static_cast<unsigned long long>(errors_total));
     return 1;
   }
 
@@ -465,6 +486,8 @@ int main(int argc, char** argv) {
   std::printf("requests          %zu\n", all.size());
   std::printf("busy rejections   %llu\n",
               static_cast<unsigned long long>(busy_total));
+  std::printf("errors            %llu\n",
+              static_cast<unsigned long long>(errors_total));
   std::printf("throughput        %.0f req/s\n", throughput);
   std::printf("latency mean      %.1f us\n", mean_us);
   std::printf("latency p50       %.1f us\n", p50);
@@ -531,6 +554,7 @@ int main(int argc, char** argv) {
          << "  \"duration_s\": " << elapsed << ",\n"
          << "  \"requests\": " << all.size() << ",\n"
          << "  \"busy_rejections\": " << busy_total << ",\n"
+         << "  \"errors\": " << errors_total << ",\n"
          << "  \"throughput_rps\": " << throughput << ",\n"
          << "  \"latency_mean_us\": " << mean_us << ",\n"
          << "  \"latency_p50_us\": " << p50 << ",\n"
@@ -591,6 +615,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "loadgen: wrote %s\n", args.out.c_str());
   }
 
+  if (errors_total > 0) {
+    std::fprintf(stderr, "loadgen: %llu requests failed\n",
+                 static_cast<unsigned long long>(errors_total));
+    return 1;
+  }
   if (args.check_p99 && !crosscheck_pass) {
     std::fprintf(stderr,
                  crosscheck_applicable
