@@ -33,8 +33,13 @@
 #                        RouterPipeline, Chaos), not bench runs.
 #
 # Every BENCH file records the host that produced it under "host": cores,
-# compiler, build type and `git describe`. On one core the router column
-# measures forwarding overhead, not horizontal scaling.
+# CPU model and MHz (from /proc/cpuinfo), compiler, build type and `git
+# describe`. On one core the router column measures forwarding overhead,
+# not horizontal scaling.
+#
+# Every stage runs even when a gate before it fails: each gate prints its
+# verdict (trace overhead, --check-p99, the routed/direct floor, chaos),
+# and the script exits non-zero at the end if any of them failed.
 #
 # After the cluster run this script asserts the routed/direct cached
 # throughput ratio against ROUTED_RATIO_FLOOR (default 0.6): a forwarding
@@ -72,8 +77,19 @@ cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j"$JOBS" \
   --target bench_solver bench_policy loadgen chaos
 
-# Add the "host" block (cores, compiler, build type, git describe) to each
-# BENCH file named.
+# Each gate records its verdict here rather than ending the run.
+FAILED=()
+gate() {  # NAME STATUS
+  if (( $2 == 0 )); then
+    echo "bench.sh: gate $1: PASS"
+  else
+    echo "bench.sh: gate $1: FAIL"
+    FAILED+=("$1")
+  fi
+}
+
+# Add the "host" block (cores, CPU, compiler, build type, git describe) to
+# each BENCH file named.
 stamp_host() {
   python3 - "$@" <<'EOF'
 import json, os, re, subprocess, sys
@@ -88,7 +104,13 @@ compiler = subprocess.run([cache["CMAKE_CXX_COMPILER"], "--version"],
                           capture_output=True, text=True).stdout.splitlines()[0]
 describe = subprocess.run(["git", "describe", "--always", "--dirty"],
                           capture_output=True, text=True).stdout.strip()
-host = {"cores": os.cpu_count(), "compiler": compiler,
+cpu = {}
+with open("/proc/cpuinfo") as f:
+    for line in f:
+        key, _, value = line.partition(":")
+        cpu.setdefault(key.strip(), value.strip())
+host = {"cores": os.cpu_count(), "cpu_model": cpu.get("model name", "unknown"),
+        "cpu_mhz": float(cpu.get("cpu MHz", 0)), "compiler": compiler,
         "build_type": cache["CMAKE_BUILD_TYPE"], "git_describe": describe}
 for path in sys.argv[1:]:
     with open(path) as f:
@@ -119,7 +141,8 @@ stamp_host BENCH_serving.json
 # trace_overhead_pct and must stay within TRACE_OVERHEAD_PCT_MAX (negative
 # values mean this run was faster than the committed one). Skipped when no
 # committed baseline exists (first run in a fresh clone).
-python3 - "${TRACE_OVERHEAD_PCT_MAX:-2}" <<'EOF'
+status=0
+python3 - "${TRACE_OVERHEAD_PCT_MAX:-2}" <<'EOF' || status=$?
 import json, subprocess, sys
 
 limit = float(sys.argv[1])
@@ -148,11 +171,13 @@ else:
     print("bench.sh: no committed BENCH_serving.json baseline; "
           "skipping the trace-overhead gate")
 EOF
+gate trace-overhead $status
 
 # BENCH_cluster.json. Every topology keeps 2 workers per backend; a cold
 # pass sends each key once, and --duration-s only caps it.
 CLUSTER_OUT=build-release/cluster
 mkdir -p "$CLUSTER_OUT"
+p99_status=0
 cluster_run() {  # NAME LOADGEN-FLAGS...: report to $CLUSTER_OUT/NAME.{txt,json}
   local name="$1"
   shift
@@ -171,9 +196,10 @@ for backends in 0 1 2 4; do
   for pass in 1 2 3; do
     cluster_run "$name.cached$pass" "${fleet[@]}" --keys 32 --cache 48 \
       --connections 16 --duration-s "${CLUSTER_DURATION_S:-1.5}" \
-      "${check[@]}"
+      "${check[@]}" || { (( ${#check[@]} > 0 )) || exit 1; p99_status=1; }
   done
 done
+gate check-p99 $p99_status
 cluster_run traced --router --backends 2 --workers 4 --keys 1024 \
   --cache 48 --no-warmup --connections 4 --trace-every 8 --duration-s 600
 
@@ -221,7 +247,8 @@ stamp_host BENCH_cluster.json
 # The router is only worth shipping while forwarding stays cheap: fail the
 # run if the epoll plane's cached throughput falls below the floor as a
 # fraction of direct serving on the same host.
-python3 - "$ROUTED_RATIO_FLOOR" <<'EOF'
+status=0
+python3 - "$ROUTED_RATIO_FLOOR" <<'EOF' || status=$?
 import json, sys
 
 floor = float(sys.argv[1])
@@ -237,10 +264,18 @@ if ratio < floor:
     sys.exit(f"bench.sh: FAIL — routed cached throughput is {ratio:.3f} of "
              f"direct, below the ROUTED_RATIO_FLOOR of {floor}")
 EOF
+gate routed-ratio-floor $status
 
 # Chaos storm: the release-built router+fleet must hold the five storm
 # invariants under every fault class. A violating storm prints its seed;
 # replay with  tools/chaos --seed <base-seed> --phase <name>.
+status=0
 ./build-release/tools/chaos \
   --chaos-seconds "${CHAOS_SECONDS:-20}" \
-  --seed "${CHAOS_SEED:-1}"
+  --seed "${CHAOS_SEED:-1}" || status=$?
+gate chaos $status
+
+if (( ${#FAILED[@]} > 0 )); then
+  echo "bench.sh: FAIL — gates failed: ${FAILED[*]}" >&2
+  exit 1
+fi

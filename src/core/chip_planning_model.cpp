@@ -23,11 +23,6 @@ ChipPlanningModel::ChipPlanningModel(
       config_(std::move(config)),
       solver_(engine_) {}
 
-void ChipPlanningModel::reset() {
-  state_estimate_.clear();
-  has_observation_ = false;
-}
-
 int ChipPlanningModel::core_count() const {
   return model_->floorplan().core_count();
 }
@@ -195,12 +190,6 @@ void ChipPlanningModel::evaluate_batch(const ActionSet::Slice& slice,
         *model_, steady, state_estimate_, config_.control_period_s);
     out[i] = finish_prediction(knobs, eval, std::move(next));
   });
-}
-
-const ChipPlanningModel::Observation&
-ChipPlanningModel::last_observation() const {
-  TECFAN_REQUIRE(has_observation_, "no observation yet");
-  return last_;
 }
 
 Prediction ChipPlanningModel::predict_steady(const KnobState& knobs) {

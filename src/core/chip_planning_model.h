@@ -55,9 +55,6 @@ class ChipPlanningModel final : public PlanningModel {
   /// predict() each interval.
   void observe(const Observation& obs);
 
-  /// Clear run state (internal temperature estimate).
-  void reset();
-
   void set_threshold_k(double t) { config_.threshold_k = t; }
 
   // PlanningModel interface.
@@ -96,9 +93,6 @@ class ChipPlanningModel final : public PlanningModel {
 
   /// Internal full-state estimate T^(k) after the last observe().
   const linalg::Vector& state_estimate() const { return state_estimate_; }
-
-  /// The last observation fed to observe().
-  const Observation& last_observation() const;
 
   const Config& config() const { return config_; }
   const thermal::ChipThermalModel& thermal_model() const { return *model_; }

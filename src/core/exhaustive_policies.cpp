@@ -144,15 +144,6 @@ OraclePPolicy::OraclePPolicy(
                  "Oracle-P requires a reference IPS trajectory");
 }
 
-OraclePPolicy::OraclePPolicy(
-    ControlEnginePtr engine, ExhaustiveOptions options,
-    std::shared_ptr<const std::vector<double>> reference_ips)
-    : OraclePolicy(std::move(engine), options),
-      reference_ips_(std::move(reference_ips)) {
-  TECFAN_REQUIRE(reference_ips_ != nullptr,
-                 "Oracle-P requires a reference IPS trajectory");
-}
-
 double OraclePPolicy::ips_floor(int interval) const {
   if (reference_ips_->empty()) return 0.0;
   const auto i = std::min(static_cast<std::size_t>(interval),

@@ -91,8 +91,6 @@ class OraclePPolicy final : public OraclePolicy {
   /// performance posture.
   OraclePPolicy(ExhaustiveOptions options,
                 std::shared_ptr<const std::vector<double>> reference_ips);
-  OraclePPolicy(ControlEnginePtr engine, ExhaustiveOptions options,
-                std::shared_ptr<const std::vector<double>> reference_ips);
 
   std::string_view name() const override { return "Oracle-P"; }
 

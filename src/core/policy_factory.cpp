@@ -25,11 +25,4 @@ PolicyPtr make_named_policy(const std::string& name, ControlEnginePtr engine) {
   return nullptr;
 }
 
-const std::vector<std::string>& known_policy_names() {
-  static const std::vector<std::string> names = {
-      "fan-only", "fan+tec",          "fan+dvfs", "dvfs+tec",
-      "dynamic-fan", "tecfan", "tecfan-chipwide"};
-  return names;
-}
-
 }  // namespace tecfan::core

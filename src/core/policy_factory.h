@@ -4,7 +4,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "core/control_engine.h"
 #include "core/policy.h"
@@ -19,8 +18,5 @@ namespace tecfan::core {
 /// to a lazily built dims-only engine.
 PolicyPtr make_named_policy(const std::string& name,
                             ControlEnginePtr engine = nullptr);
-
-/// The names make_named_policy accepts, in protocol order.
-const std::vector<std::string>& known_policy_names();
 
 }  // namespace tecfan::core

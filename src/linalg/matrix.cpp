@@ -39,25 +39,12 @@ void DenseMatrix::matvec_transpose(std::span<const double> x,
   }
 }
 
-double DenseMatrix::frobenius_norm() const {
-  double s = 0.0;
-  for (double v : data_) s += v * v;
-  return std::sqrt(s);
-}
-
 bool DenseMatrix::is_symmetric(double tol) const {
   if (rows_ != cols_) return false;
   for (std::size_t r = 0; r < rows_; ++r)
     for (std::size_t c = r + 1; c < cols_; ++c)
       if (std::abs((*this)(r, c) - (*this)(c, r)) > tol) return false;
   return true;
-}
-
-Vector subtract(std::span<const double> a, std::span<const double> b) {
-  TECFAN_REQUIRE(a.size() == b.size(), "subtract size mismatch");
-  Vector r(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) r[i] = a[i] - b[i];
-  return r;
 }
 
 void axpy(double s, std::span<const double> b, std::span<double> a) {

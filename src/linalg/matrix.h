@@ -44,9 +44,6 @@ class DenseMatrix {
   /// y = A^T x.
   void matvec_transpose(std::span<const double> x, std::span<double> y) const;
 
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
   /// Returns true if |A - A^T| has no entry above tol (square only).
   bool is_symmetric(double tol = 1e-12) const;
 
@@ -55,9 +52,6 @@ class DenseMatrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-/// r = a - b.
-Vector subtract(std::span<const double> a, std::span<const double> b);
 
 /// a += s * b.
 void axpy(double s, std::span<const double> b, std::span<double> a);

@@ -18,13 +18,8 @@
 //   kShort  — cap the byte count (partial writes / dribbled reads)
 //   kDelay  — sleep `delay_us`, then proceed (latency spike)
 //
-// ScheduledFaultInjector draws those decisions from a seeded xorshift
-// stream keyed by a global operation counter, so a failing chaos run is
-// replayed exactly by re-running with the same seed. Destructive fault
-// classes (refusal, resets, EOF) can be scoped to a set of ports via the
-// connect hook; send/recv faults apply to every socket in the process,
-// so storms that use them must stick to semantically invisible classes
-// (short writes, delays) unless the test owns every connection.
+// The seeded injector the tests arm lives in src/testing
+// (testing::ScheduledFaultInjector); this library only carries the hook.
 //
 // Installation is not synchronized against in-flight operations: install
 // before traffic starts, uninstall after it quiesces (the chaos harness
@@ -35,7 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <sys/types.h>
-#include <vector>
 
 namespace tecfan::service {
 
@@ -80,82 +74,6 @@ FaultDecision settle_fault_delay(FaultDecision d);
 /// when no injector is installed; used by the blocking LineReader path
 /// and the epoll plane's session/pipe read loops.
 ssize_t faulted_recv(int fd, void* buf, std::size_t len, int flags);
-
-/// Deterministic seeded injector: each hook draws one number from a
-/// splitmix64 stream indexed by a global atomic operation counter, so the
-/// decision sequence depends only on the seed and the interleaving-free
-/// count of operations — concurrent callers may swap draws, but the
-/// multiset of injected faults per N operations is fixed.
-class ScheduledFaultInjector final : public FaultInjector {
- public:
-  struct Options {
-    std::uint64_t seed = 1;
-    /// connect(): refuse (ECONNREFUSED) with this probability. Only
-    /// applied to ports listed in `connect_ports` (empty = every port).
-    double connect_refuse_p = 0.0;
-    std::vector<std::uint16_t> connect_ports;
-    /// send()/sendmsg(): cap the operation at `send_short_cap` bytes.
-    double send_short_p = 0.0;
-    std::size_t send_short_cap = 1;
-    /// send(): fail with `send_error` (default ECONNRESET).
-    double send_fail_p = 0.0;
-    int send_error = 0;
-    /// send(): sleep `send_delay_us` first.
-    double send_delay_p = 0.0;
-    std::uint32_t send_delay_us = 200;
-    /// recv(): cap at `recv_short_cap` bytes (slow-loris style dribble).
-    double recv_short_p = 0.0;
-    std::size_t recv_short_cap = 1;
-    /// recv(): pretend the peer closed.
-    double recv_eof_p = 0.0;
-    /// recv(): fail with `recv_error` (default ECONNRESET).
-    double recv_fail_p = 0.0;
-    int recv_error = 0;
-    /// recv(): sleep `recv_delay_us` first (latency spike).
-    double recv_delay_p = 0.0;
-    std::uint32_t recv_delay_us = 200;
-  };
-
-  struct Counts {
-    std::uint64_t connects_refused = 0;
-    std::uint64_t sends_shortened = 0;
-    std::uint64_t sends_failed = 0;
-    std::uint64_t sends_delayed = 0;
-    std::uint64_t recvs_shortened = 0;
-    std::uint64_t recvs_eof = 0;
-    std::uint64_t recvs_failed = 0;
-    std::uint64_t recvs_delayed = 0;
-    std::uint64_t operations = 0;
-    std::uint64_t total_injected() const {
-      return connects_refused + sends_shortened + sends_failed +
-             sends_delayed + recvs_shortened + recvs_eof + recvs_failed +
-             recvs_delayed;
-    }
-  };
-
-  explicit ScheduledFaultInjector(Options options);
-
-  FaultDecision on_connect(std::uint16_t port) override;
-  FaultDecision on_send(int fd, std::size_t bytes) override;
-  FaultDecision on_recv(int fd) override;
-
-  Counts counts() const;
-
- private:
-  /// Uniform draw in [0, 1) from the seeded stream.
-  double next_unit();
-
-  Options options_;
-  std::atomic<std::uint64_t> op_counter_{0};
-  std::atomic<std::uint64_t> connects_refused_{0};
-  std::atomic<std::uint64_t> sends_shortened_{0};
-  std::atomic<std::uint64_t> sends_failed_{0};
-  std::atomic<std::uint64_t> sends_delayed_{0};
-  std::atomic<std::uint64_t> recvs_shortened_{0};
-  std::atomic<std::uint64_t> recvs_eof_{0};
-  std::atomic<std::uint64_t> recvs_failed_{0};
-  std::atomic<std::uint64_t> recvs_delayed_{0};
-};
 
 /// RAII install/uninstall for tests: installs on construction, disarms on
 /// destruction (only if still the active injector).

@@ -39,13 +39,21 @@ std::vector<GridRequest> request_grid(int keys) {
   out.reserve(static_cast<std::size_t>(keys));
   int eq = 0, run = 0, sweep = 0;
   for (int k = 0; k < keys; ++k) {
-    if (k % 64 == 63) {
+    // One key of each 16-key block b is a run or a sweep, at offset
+    // 15 - b % 16, and it is a sweep when (b / 16) % 4 == 3 - b % 4. So
+    // when loadgen stripes the keys over C connections (c, c+C, ...), every
+    // C in {1, 2, 4, 8, 16} gives each connection as many runs and as many
+    // sweeps as the others, and no connection's serial chain of slow
+    // requests sets a cold pass's wall time.
+    const int b = k / 16;
+    const bool slow = k % 16 == 15 - b % 16;
+    if (slow && (b / 16) % 4 == 3 - b % 4) {
       const int s = sweep++;
       out.push_back({"sweep policy=" + policies[static_cast<std::size_t>(s) %
                                                 policies.size()] +
                          " workload=" + wl(s / 4) + " threads=16",
                      GridKind::kSweep});
-    } else if (k % 16 == 15) {
+    } else if (slow) {
       const int r = run++;
       out.push_back({"run policy=" + policies[static_cast<std::size_t>(r) %
                                               policies.size()] +

@@ -6,9 +6,11 @@
 // cholesky, lu, fmm and water at 4, then barnes, ocean and radix at 16 --
 // at each of the 16-core chip's 8 fan levels, 6 DVFS levels and both TEC
 // states (11 x 8 x 6 x 2 = 1056 distinct requests), so every line is
-// servable. Every 16th key is a policy `run` (4 policies x 4 workloads x
-// 4 fan levels) and every 64th a fan `sweep` (4 policies x 4 workloads),
-// so a 1024-key set exercises all three compute kinds the daemon serves,
+// servable. One key in each 16-key block is a policy `run` (4 policies x
+// 4 workloads x 4 fan levels) or, in one block of four, a fan `sweep`
+// (4 policies x 4 workloads), placed so that loadgen's striping gives
+// every connection the same share of both; a 1024-key set (48 runs, 16
+// sweeps) exercises all three compute kinds the daemon serves,
 // and its 1024 lines are distinct: a cold pass over it is all misses
 // whatever the cache size. Each kind advances through its own grid
 // densely; small key counts (< 16) stay pure-equilibrium on the original

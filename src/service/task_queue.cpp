@@ -50,9 +50,4 @@ std::size_t TaskQueue::size() const {
   return tasks_.size();
 }
 
-bool TaskQueue::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
-}
-
 }  // namespace tecfan::service

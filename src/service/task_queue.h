@@ -65,7 +65,6 @@ class TaskQueue {
 
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
-  bool closed() const;
 
  private:
   const std::size_t capacity_;

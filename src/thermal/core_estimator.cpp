@@ -86,22 +86,6 @@ CoreEstimator::CoreEstimator(std::shared_ptr<const ChipThermalModel> model,
   }
 }
 
-std::size_t CoreEstimator::local_cold(int device) const {
-  TECFAN_REQUIRE(device >= 0 &&
-                     device < static_cast<int>(dev_global_.size()),
-                 "device index out of range");
-  return static_cast<std::size_t>(global_to_local_[model_->tec_cold_node(
-      dev_global_[static_cast<std::size_t>(device)])]);
-}
-
-std::size_t CoreEstimator::local_hot(int device) const {
-  TECFAN_REQUIRE(device >= 0 &&
-                     device < static_cast<int>(dev_global_.size()),
-                 "device index out of range");
-  return static_cast<std::size_t>(global_to_local_[model_->tec_hot_node(
-      dev_global_[static_cast<std::size_t>(device)])]);
-}
-
 std::size_t CoreEstimator::local_of_component(int local_component) const {
   TECFAN_REQUIRE(local_component >= 0 &&
                      local_component < kComponentsPerTile,

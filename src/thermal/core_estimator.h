@@ -45,10 +45,6 @@ class CoreEstimator {
   /// returned by steady().
   std::size_t local_of_component(int local_component) const;
 
-  /// Local indices of device d's (0..8) cold and hot faces.
-  std::size_t local_cold(int device) const;
-  std::size_t local_hot(int device) const;
-
   /// Conditioned steady solve. comp_power: power of this core's 18
   /// components (local component order); tec_on: this core's 9 devices;
   /// boundary_temps: the FULL global node temperature vector, of which only

@@ -1,21 +1,11 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
 
 namespace tecfan::log {
 namespace {
-
-std::atomic<int>& level_storage() {
-  static std::atomic<int> storage{[] {
-    if (const char* env = std::getenv("TECFAN_LOG"))
-      return static_cast<int>(parse_level(env));
-    return static_cast<int>(Level::kWarn);
-  }()};
-  return storage;
-}
 
 const char* level_name(Level lvl) {
   switch (lvl) {
@@ -35,9 +25,13 @@ const char* level_name(Level lvl) {
 
 }  // namespace
 
-Level level() { return static_cast<Level>(level_storage().load()); }
-
-void set_level(Level lvl) { level_storage().store(static_cast<int>(lvl)); }
+Level level() {
+  static const Level lvl = [] {
+    const char* env = std::getenv("TECFAN_LOG");
+    return env != nullptr ? parse_level(env) : Level::kWarn;
+  }();
+  return lvl;
+}
 
 Level parse_level(const std::string& name) {
   if (name == "error") return Level::kError;

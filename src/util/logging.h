@@ -2,7 +2,7 @@
 //
 // The simulator is a batch tool; logging goes to stderr so that bench output
 // on stdout stays machine-parsable. Level is a process-global setting,
-// controllable from code or via the TECFAN_LOG environment variable
+// read once from the TECFAN_LOG environment variable
 // (error|warn|info|debug|trace).
 #pragma once
 
@@ -15,9 +15,6 @@ enum class Level { kError = 0, kWarn = 1, kInfo = 2, kDebug = 3, kTrace = 4 };
 
 /// Current global log level (default: kWarn, or TECFAN_LOG if set).
 Level level();
-
-/// Set the global log level.
-void set_level(Level lvl);
 
 /// Parse a level name; returns kWarn on unknown names.
 Level parse_level(const std::string& name);

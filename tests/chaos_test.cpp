@@ -10,8 +10,8 @@
 //
 // A failing storm prints its seed and counts via describe(), so the run
 // replays exactly. Out-of-process faults go through ChaosProxy (one per
-// backend); in-process faults go through the ScheduledFaultInjector hook
-// compiled into the framing layer. The in-process storm sticks to
+// backend); in-process faults go through a ScheduledFaultInjector armed on
+// the hook compiled into the framing layer. The in-process storm sticks to
 // semantically invisible classes (short writes, dribbled reads, delays)
 // because the injector is process-global: the storm's own client sockets
 // go through the same hook.
@@ -24,12 +24,13 @@
 #include "service/fault_injection.h"
 #include "testing/chaos_fleet.h"
 #include "testing/chaos_proxy.h"
+#include "testing/scheduled_fault_injector.h"
 
 namespace {
 
 // tecfan::testing clashes with gtest's ::testing under a blanket using.
 namespace chaos = tecfan::testing;
-using tecfan::service::ScheduledFaultInjector;
+using tecfan::testing::ScheduledFaultInjector;
 using tecfan::service::ScopedFaultInjector;
 
 chaos::ChaosFleetOptions proxied_fleet(std::uint64_t seed) {

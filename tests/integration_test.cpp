@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "core/reactive_policies.h"
 #include "core/tecfan_policy.h"
@@ -73,7 +75,7 @@ const BaselineBundle& cholesky_bundle() {
 }
 
 class Table1Calibration
-    : public ::testing::TestWithParam<std::pair<const char*, int>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, int>> {};
 
 TEST_P(Table1Calibration, ReproducesPaperNumbers) {
   const auto [name, threads] = GetParam();

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "perf/server_model.h"
 #include "perf/splash2.h"
@@ -42,7 +44,7 @@ TEST(Table1, HasAllEightCases) {
 
 // --------------------------------------------------- synthetic workloads
 class AllTable1Cases
-    : public ::testing::TestWithParam<std::pair<const char*, int>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, int>> {};
 
 TEST_P(AllTable1Cases, IpsAnchoredToPaperTiming) {
   const auto [name, threads] = GetParam();

@@ -40,10 +40,12 @@
 #include "service/server.h"
 #include "service/task_queue.h"
 #include "service/worker_pool.h"
+#include "testing/scheduled_fault_injector.h"
 
 namespace {
 
 using namespace tecfan::service;
+using tecfan::testing::ScheduledFaultInjector;
 using namespace std::chrono_literals;
 
 // ---------------------------------------------------------------- protocol
@@ -340,6 +342,24 @@ TEST(RequestGrid, FirstThousandKeysAreDistinct) {
   for (const GridRequest& r : request_grid(1024))
     keys.insert(canonical_key(parse_request(r.line).request));
   EXPECT_EQ(keys.size(), 1024u);
+}
+
+// loadgen's connection c sends keys c, c+C, ...: each connection must get
+// the same number of runs and of sweeps, or one connection's serial chain
+// of slow requests sets a cold pass's wall time.
+TEST(RequestGrid, RunAndSweepKeysSpreadOverConnections) {
+  const std::vector<GridRequest> grid = request_grid(1024);
+  for (std::size_t conns : {1u, 2u, 4u, 8u, 16u}) {
+    std::vector<int> runs(conns), sweeps(conns);
+    for (std::size_t k = 0; k < grid.size(); ++k) {
+      if (grid[k].kind == GridKind::kRun) ++runs[k % conns];
+      if (grid[k].kind == GridKind::kSweep) ++sweeps[k % conns];
+    }
+    EXPECT_EQ(runs, std::vector<int>(conns, 48 / static_cast<int>(conns)))
+        << conns << " connections";
+    EXPECT_EQ(sweeps, std::vector<int>(conns, 16 / static_cast<int>(conns)))
+        << conns << " connections";
+  }
 }
 
 // ------------------------------------------------------------------ cache
